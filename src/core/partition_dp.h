@@ -16,6 +16,15 @@
  * StageCostCalculator, so the two optimisations are solved jointly
  * (Sec. 3: partitioning cooperates with recomputation "so that we
  * don't fall into some local minimums").
+ *
+ * The DP solves only the knapsacks that can change the plan. Stage 0
+ * expands only P[0][0], the one state the backtrack reads. Each state
+ * bounds every candidate split j from below with the knapsack-free
+ * StageCostCalculator::costFloor() and visits the candidates in
+ * ascending floor T; it solves a candidate exactly only while its
+ * floor is below the best T found, or equal to it at a smaller j, so
+ * the result is the full scan's: the smallest j among the minimal T.
+ * Last-stage states start as floors and are solved on first use.
  */
 
 #ifndef ADAPIPE_CORE_PARTITION_DP_H

@@ -1,7 +1,9 @@
 #include "core/recompute_dp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -43,6 +45,33 @@ optionalUnits(const std::vector<UnitProfile> &units)
             idx.push_back(i);
     }
     return idx;
+}
+
+/**
+ * One row of the 0/1 knapsack: unit k of weight @p cost (1 <= cost <
+ * width) and value @p value against the row @p prev of unit k - 1.
+ * next[m] = max(prev[m], prev[m - cost] + value), and take[m] = 1 where
+ * the unit is taken; take[m] for m < cost is left untouched.
+ *
+ * Double-buffered and branch-free so GCC vectorises it at -O3 on
+ * baseline x86-64. It matches an in-place descending row exactly,
+ * because that row too reads prev[m - cost] before overwriting it. A
+ * take byte conditioned on `cand > keep` does not vectorise (GCC 12);
+ * the sign bit of keep - cand does, and the two agree on the finite
+ * values the DP holds (keep == cand gives +0, not taken).
+ */
+void
+knapsackRow(const Seconds *prev, Seconds *next, std::uint8_t *take,
+            std::size_t width, std::size_t cost, Seconds value)
+{
+    std::copy(prev, prev + cost, next);
+    for (std::size_t m = cost; m < width; ++m) {
+        const Seconds keep = prev[m];
+        const Seconds cand = prev[m - cost] + value;
+        next[m] = keep < cand ? cand : keep;
+        take[m] = static_cast<std::uint8_t>(
+            std::bit_cast<std::uint64_t>(keep - cand) >> 63);
+    }
 }
 
 /** Fill the result's bookkeeping fields from the decision vectors
@@ -421,11 +450,12 @@ solveRecomputeKnapsack(const std::vector<UnitProfile> &units,
     }
 
     // 0/1 knapsack maximising saved forward time. dp[m] = best value
-    // using at most m buckets; choice[k][m] records whether optional
-    // unit k is taken at budget m on the optimal path.
-    std::vector<Seconds> dp(cap + 1, 0.0);
-    std::vector<std::vector<bool>> choice(
-        opt_idx.size(), std::vector<bool>(cap + 1, false));
+    // using at most m buckets; choice[k * width + m] records whether
+    // optional unit k is taken at budget m on the optimal path.
+    const std::size_t width = cap + 1;
+    std::vector<Seconds> dp(width, 0.0);
+    std::vector<Seconds> row(width);
+    std::vector<std::uint8_t> choice(opt_idx.size() * width, 0);
 
     std::int64_t cells = 0; // flushed once; hot loop stays clean
     for (std::size_t k = 0; k < opt_idx.size(); ++k) {
@@ -435,13 +465,9 @@ solveRecomputeKnapsack(const std::vector<UnitProfile> &units,
         if (cost > cap)
             continue;
         cells += static_cast<std::int64_t>(cap - cost + 1);
-        for (std::size_t m = cap; m >= cost; --m) {
-            const Seconds candidate = dp[m - cost] + u.timeFwd;
-            if (candidate > dp[m]) {
-                dp[m] = candidate;
-                choice[k][m] = true;
-            }
-        }
+        knapsackRow(dp.data(), row.data(), choice.data() + k * width,
+                    width, cost, u.timeFwd);
+        dp.swap(row);
     }
     ADAPIPE_OBS_COUNT("recompute_dp.cells", cells);
 
@@ -461,7 +487,7 @@ solveRecomputeKnapsack(const std::vector<UnitProfile> &units,
     }
     std::size_t m = pick;
     for (std::size_t k = opt_idx.size(); k-- > 0;) {
-        if (choice[k][m]) {
+        if (choice[k * width + m]) {
             result.saved[opt_idx[k]] = true;
             const UnitProfile &u = units[opt_idx[k]];
             const auto cost = static_cast<std::size_t>(

@@ -129,36 +129,94 @@ StageCostCalculator::cost(int s, int i, int j)
     return ins->second;
 }
 
+const StageCostFloor &
+StageCostCalculator::costFloor(int s, int i, int j)
+{
+    ADAPIPE_ASSERT(s >= 0 && s < p_, "stage out of range: ", s);
+    ADAPIPE_ASSERT(i >= 0 && j < pm_.numLayers() && i <= j,
+                   "bad layer range [", i, ", ", j, "]");
+    const Key key = cacheKey(s, i, j);
+    auto it = floor_cache_.find(key);
+    if (it != floor_cache_.end())
+        return it->second;
+    const RangeProfile r = rangeProfile(s, i, j, nullptr);
+    StageCostFloor floor;
+    floor.feasible = r.feasible;
+    if (r.feasible) {
+        floor.fwd = r.fwdAll;
+        floor.bwd = r.bwdAll;
+        addStageOverheads(s, i, floor.fwd, floor.bwd);
+    }
+    auto [ins, _] = floor_cache_.emplace(key, floor);
+    return ins->second;
+}
+
+StageCostCalculator::RangeProfile
+StageCostCalculator::rangeProfile(int s, int i, int j,
+                                  std::vector<UnitProfile> *units) const
+{
+    RangeProfile r;
+    r.mem = breakdown(i, j);
+    for (int l = i; l <= j; ++l) {
+        for (const auto &u : pm_.layers[l].units) {
+            r.fwdAll += u.timeFwd;
+            r.bwdAll += u.timeBwd;
+            if (!u.alwaysSaved)
+                r.fwdRecomputable += u.timeFwd;
+            r.savedAll += u.memSaved;
+            if (units)
+                units->push_back(u);
+        }
+    }
+    const int m = inflight(s);
+    const Bytes cap = capacity();
+    r.budget = static_cast<std::int64_t>(opts_.memBudgetFraction *
+                                         static_cast<double>(cap));
+    r.noRecomputeTotal =
+        r.mem.staticMem +
+        static_cast<Bytes>(m) * (r.mem.input + r.savedAll);
+    r.minimal = r.mem.staticMem + r.mem.buffer +
+                static_cast<Bytes>(m) *
+                    (r.mem.input + r.mem.alwaysSaved);
+    // Fast path: everything saved fits the budget without a buffer.
+    // Disabled under a bubble budget — there the solver's discounted
+    // objective may prefer saving *less* (replay hides for free), so
+    // "everything fits" no longer implies "save everything".
+    r.fastPath = overlapBubble(s) <= 0 &&
+                 static_cast<std::int64_t>(r.noRecomputeTotal) <=
+                     r.budget;
+    // Otherwise the stage must fit with every optional unit
+    // recomputed.
+    r.feasible = r.fastPath || r.minimal <= cap;
+    return r;
+}
+
+void
+StageCostCalculator::addStageOverheads(int s, int i, Seconds &fwd,
+                                       Seconds &bwd) const
+{
+    if (opts_.includeP2p && i > 0) {
+        fwd += pm_.p2pTime;
+        bwd += pm_.p2pTime;
+    }
+    const double factor = timeFactor(s);
+    if (factor != 1.0) {
+        fwd *= factor;
+        bwd *= factor;
+    }
+}
+
 StageCost
 StageCostCalculator::compute(int s, int i, int j)
 {
-    const int m = inflight(s);
-    const MemoryBreakdown mem = breakdown(i, j);
-    const Bytes cap = capacity();
-    const auto budget = static_cast<std::int64_t>(
-        opts_.memBudgetFraction * static_cast<double>(cap));
-
     // Gather the range's units. With offloading enabled, the solver
     // itself weighs recompute vs host-staging per unit (tri-choice
     // DP); unit times are passed through unmodified so fwd/bwd
     // accounting always matches what the event simulator replays —
     // the offload share is reported disjointly in offloadExposed.
     std::vector<UnitProfile> units;
-    Seconds fwd_all = 0;
-    Seconds bwd_all = 0;
-    Seconds fwd_recomputable = 0; // Σ optional replay times
-    Bytes saved_all = 0;
-    for (int l = i; l <= j; ++l) {
-        const ProfiledLayer &layer = pm_.layers[l];
-        for (const auto &u : layer.units) {
-            fwd_all += u.timeFwd;
-            bwd_all += u.timeBwd;
-            if (!u.alwaysSaved)
-                fwd_recomputable += u.timeFwd;
-            saved_all += u.memSaved;
-            units.push_back(u);
-        }
-    }
+    const RangeProfile r = rangeProfile(s, i, j, &units);
+    const MemoryBreakdown &mem = r.mem;
 
     StageCost result;
     result.totalUnits = static_cast<int>(units.size());
@@ -171,38 +229,25 @@ StageCostCalculator::compute(int s, int i, int j)
         // this stage computes one micro-batch's forward + backward,
         // no longer (evictions of micro-batch t overlap with compute
         // of t+1). Range-local, so the isomorphism cache stays valid.
-        dp_opts.offload.linkBudgetPerMb = fwd_all + bwd_all;
+        dp_opts.offload.linkBudgetPerMb = r.fwdAll + r.bwdAll;
     }
 
-    // Fast path: everything saved fits the budget without a buffer.
-    // Disabled under a bubble budget — there the solver's discounted
-    // objective may prefer saving *less* (replay hides for free), so
-    // "everything fits" no longer implies "save everything".
-    const Bytes no_recompute_total =
-        mem.staticMem +
-        static_cast<Bytes>(m) * (mem.input + saved_all);
-    if (dp_opts.overlapBubble <= 0 &&
-        static_cast<std::int64_t>(no_recompute_total) <= budget) {
+    if (r.fastPath) {
         result.feasible = true;
         result.recompute.saved.assign(units.size(), true);
-        result.recompute.savedFwdTime = fwd_recomputable;
-        result.recompute.savedBytes = saved_all - mem.alwaysSaved;
+        result.recompute.savedFwdTime = r.fwdRecomputable;
+        result.recompute.savedBytes = r.savedAll - mem.alwaysSaved;
         result.recompute.savedUnits = result.totalUnits;
-        result.fwd = fwd_all;
-        result.bwd = bwd_all;
-        result.memPeak = no_recompute_total;
+        result.fwd = r.fwdAll;
+        result.bwd = r.bwdAll;
+        result.memPeak = r.noRecomputeTotal;
+    } else if (!r.feasible) {
+        result.memPeak = r.minimal;
+        return result;
     } else {
-        // Feasibility floor: everything optional recomputed.
-        const Bytes minimal =
-            mem.staticMem + mem.buffer +
-            static_cast<Bytes>(m) * (mem.input + mem.alwaysSaved);
-        if (minimal > cap) {
-            result.feasible = false;
-            result.memPeak = minimal;
-            return result;
-        }
+        const int m = inflight(s);
         const std::int64_t per_mb =
-            (budget - static_cast<std::int64_t>(mem.staticMem) -
+            (r.budget - static_cast<std::int64_t>(mem.staticMem) -
              static_cast<std::int64_t>(mem.buffer)) /
                 m -
             static_cast<std::int64_t>(mem.input) -
@@ -223,14 +268,14 @@ StageCostCalculator::compute(int s, int i, int j)
                 solveRecomputeKnapsack(units, per_mb, dp_opts);
         }
         result.feasible = true;
-        result.fwd = fwd_all;
+        result.fwd = r.fwdAll;
         // criticalReplayTime equals (fwd_recomputable - savedFwdTime)
         // without a bubble; with one, the hidden share is discounted
         // off the backward critical path. Offloaded units add their
         // exposed (non-overlapped) transfer share instead of replay;
         // adding exact 0.0 with offload disabled keeps bwd
         // bit-identical to the pre-offload calculator.
-        result.bwd = bwd_all + result.recompute.criticalReplayTime +
+        result.bwd = r.bwdAll + result.recompute.criticalReplayTime +
                      result.recompute.offloadExposedTime;
         result.replayHidden = result.recompute.hiddenReplayTime;
         result.replayCritical = result.recompute.criticalReplayTime;
@@ -249,14 +294,9 @@ StageCostCalculator::compute(int s, int i, int j)
                  result.recompute.savedBytes);
     }
 
-    if (opts_.includeP2p && i > 0) {
-        result.fwd += pm_.p2pTime;
-        result.bwd += pm_.p2pTime;
-    }
+    addStageOverheads(s, i, result.fwd, result.bwd);
     const double factor = timeFactor(s);
     if (factor != 1.0) {
-        result.fwd *= factor;
-        result.bwd *= factor;
         result.replayHidden *= factor;
         result.replayCritical *= factor;
         result.offloadExposed *= factor;

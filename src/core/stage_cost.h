@@ -14,11 +14,32 @@
  * head) have identical cost tables for the same in-flight count, so
  * results are memoised under that key, reducing knapsack executions
  * from O(p L^2) to O(p L).
+ *
+ * Floors: costFloor() bounds cost() from below without a knapsack.
+ * Feasibility and the forward time are exact; the backward time
+ * charges zero replay and zero offload exposure, then adds P2P and
+ * the stage-time factor exactly as compute() does. compute()'s
+ * backward time adds critical replay and exposed offload time, both
+ * never negative, and IEEE addition, max and scaling by a
+ * non-negative constant are monotone, so floor.bwd <= cost().bwd in
+ * every mode (overlap bubble, offload, straggler factor, in-flight
+ * override). Floor and cost share the range sums of rangeProfile(),
+ * so on the everything-fits fast path the floor *is* the cost, bit
+ * for bit. Floors are cached under cost()'s key.
+ *
+ * The partition DP (partition_dp.h) uses the floors as a
+ * branch-and-bound. It expands only the reachable stage-0 state
+ * P[0][0]. Each state visits its candidate splits in ascending floor
+ * T and solves one exactly only while its floor is below the best
+ * exact T, or equal to it at a smaller split j, which keeps the full
+ * scan's tie-break (the smallest j among the minimal T). Last-stage
+ * states start as floors and are solved on first use.
  */
 
 #ifndef ADAPIPE_CORE_STAGE_COST_H
 #define ADAPIPE_CORE_STAGE_COST_H
 
+#include <cstdint>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -76,6 +97,20 @@ struct StageCost
     Bytes offloadBytes = 0;
     /** Count of offloaded units in the range. */
     int offloadedUnits = 0;
+};
+
+/**
+ * Knapsack-free lower bound of a StageCost (see
+ * StageCostCalculator::costFloor()).
+ */
+struct StageCostFloor
+{
+    /** Exact: the verdict cost() reaches. */
+    bool feasible = false;
+    /** Exact forward time per micro-batch. */
+    Seconds fwd = 0;
+    /** Backward time with no replay and no offload exposure. */
+    Seconds bwd = 0;
 };
 
 /**
@@ -171,6 +206,14 @@ class StageCostCalculator
     const StageCost &cost(int s, int i, int j);
 
     /**
+     * Lower bound of cost(s, i, j) that runs no knapsack: exact
+     * feasibility and forward time, backward time without replay or
+     * offload exposure (memoised under cost()'s key). Equal to
+     * cost() when every unit fits.
+     */
+    const StageCostFloor &costFloor(int s, int i, int j);
+
+    /**
      * Baseline cost of the same range under a uniform recomputation
      * policy (no knapsack; used for the DAPPLE baselines).
      */
@@ -230,6 +273,34 @@ class StageCostCalculator
     };
     MemoryBreakdown breakdown(int i, int j) const;
 
+    /** Range sums and memory verdicts shared by costFloor() and
+     *  compute(), so both see bit-identical times. */
+    struct RangeProfile
+    {
+        MemoryBreakdown mem;
+        Seconds fwdAll = 0;
+        Seconds bwdAll = 0;
+        /** Forward time of the units that are not always saved. */
+        Seconds fwdRecomputable = 0;
+        Bytes savedAll = 0;
+        /** Planner byte budget (memBudgetFraction of capacity). */
+        std::int64_t budget = 0;
+        /** Peak with every unit saved and no recompute buffer. */
+        Bytes noRecomputeTotal = 0;
+        /** Peak with every optional unit recomputed. */
+        Bytes minimal = 0;
+        /** Everything fits: compute() skips the knapsack. */
+        bool fastPath = false;
+        bool feasible = false;
+    };
+    /** @param units when non-null, receives the range's units. */
+    RangeProfile rangeProfile(int s, int i, int j,
+                              std::vector<UnitProfile> *units) const;
+
+    /** Add P2P and scale by the stage-time factor, as cost() does. */
+    void addStageOverheads(int s, int i, Seconds &fwd,
+                           Seconds &bwd) const;
+
     using Key = std::tuple<int, bool, bool, int, int>;
     Key cacheKey(int s, int i, int j) const;
 
@@ -239,6 +310,7 @@ class StageCostCalculator
     int n_;
     StageCostOptions opts_;
     std::map<Key, StageCost> cache_;
+    std::map<Key, StageCostFloor> floor_cache_;
     std::size_t knapsack_runs_ = 0;
     std::size_t cache_hits_ = 0;
     std::size_t memo_hits_ = 0;

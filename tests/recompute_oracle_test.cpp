@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/recompute_dp.h"
@@ -417,6 +420,215 @@ TEST(TriChoiceOracle, OffloadedUnitsDoNotConsumeBubbleBudget)
     EXPECT_DOUBLE_EQ(none.offloadExposedTime, 0.0);
     EXPECT_DOUBLE_EQ(none.criticalReplayTime, 0.0);
     EXPECT_DOUBLE_EQ(none.hiddenReplayTime, 3.0);
+}
+
+/**
+ * The 1-D knapsack as it stood before its row was vectorised: an
+ * in-place descending row and a vector<vector<bool>> choice table.
+ * Copied verbatim from solveRecomputeKnapsack minus the obs counters
+ * and the offload dispatch; optionalUnits() is inlined and only the
+ * save mask and savedFwdTime of finalize() are reproduced.
+ */
+RecomputePlanResult
+legacyKnapsack(const std::vector<UnitProfile> &units,
+               std::int64_t budget_per_mb,
+               const RecomputeDpOptions &opts)
+{
+    RecomputePlanResult result;
+    result.saved.assign(units.size(), false);
+    for (std::size_t i = 0; i < units.size(); ++i)
+        result.saved[i] = units[i].alwaysSaved;
+    const auto finalize = [&units](RecomputePlanResult &r) {
+        r.savedFwdTime = 0;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (r.saved[i] && !units[i].alwaysSaved)
+                r.savedFwdTime += units[i].timeFwd;
+        }
+    };
+
+    std::vector<std::size_t> opt_idx;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        if (!units[i].alwaysSaved && units[i].memSaved > 0)
+            opt_idx.push_back(i);
+    }
+    const std::int64_t budget = std::max<std::int64_t>(budget_per_mb, 0);
+    const Seconds bubble = std::max<Seconds>(opts.overlapBubble, 0);
+    if (opt_idx.empty() || budget == 0) {
+        finalize(result);
+        return result;
+    }
+
+    std::int64_t gcd = 0;
+    std::int64_t total_cost = 0;
+    Seconds total_value = 0;
+    for (std::size_t i : opt_idx) {
+        const auto cost = static_cast<std::int64_t>(units[i].memSaved);
+        gcd = std::gcd(gcd, cost);
+        total_cost += cost;
+        total_value += units[i].timeFwd;
+    }
+    if (bubble <= 0 && total_cost <= budget) {
+        for (std::size_t i : opt_idx)
+            result.saved[i] = true;
+        finalize(result);
+        return result;
+    }
+    Seconds t_need = 0; // meaningful only when bubble > 0
+    if (bubble > 0) {
+        Seconds fixed_replay = 0;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (!units[i].alwaysSaved && units[i].memSaved == 0)
+                fixed_replay += units[i].timeFwd;
+        }
+        t_need = fixed_replay + total_value - bubble;
+        if (t_need <= 0) {
+            finalize(result);
+            return result;
+        }
+    }
+    if (!opts.useGcd)
+        gcd = 1;
+    const std::int64_t min_gran =
+        (budget + opts.maxBuckets - 1) / opts.maxBuckets;
+    const std::int64_t gran = std::max<std::int64_t>(gcd, min_gran);
+
+    const auto cap = static_cast<std::size_t>(budget / gran);
+    if (cap == 0) {
+        finalize(result);
+        return result;
+    }
+
+    std::vector<Seconds> dp(cap + 1, 0.0);
+    std::vector<std::vector<bool>> choice(
+        opt_idx.size(), std::vector<bool>(cap + 1, false));
+
+    for (std::size_t k = 0; k < opt_idx.size(); ++k) {
+        const UnitProfile &u = units[opt_idx[k]];
+        const auto cost = static_cast<std::size_t>(
+            (static_cast<std::int64_t>(u.memSaved) + gran - 1) / gran);
+        if (cost > cap)
+            continue;
+        for (std::size_t m = cap; m >= cost; --m) {
+            const Seconds candidate = dp[m - cost] + u.timeFwd;
+            if (candidate > dp[m]) {
+                dp[m] = candidate;
+                choice[k][m] = true;
+            }
+        }
+    }
+
+    std::size_t pick = cap;
+    if (bubble > 0) {
+        for (std::size_t m2 = 0; m2 <= cap; ++m2) {
+            if (dp[m2] >= t_need) {
+                pick = m2;
+                break;
+            }
+        }
+    }
+    std::size_t m = pick;
+    for (std::size_t k = opt_idx.size(); k-- > 0;) {
+        if (choice[k][m]) {
+            result.saved[opt_idx[k]] = true;
+            const UnitProfile &u = units[opt_idx[k]];
+            const auto cost = static_cast<std::size_t>(
+                (static_cast<std::int64_t>(u.memSaved) + gran - 1) /
+                gran);
+            m -= cost;
+        }
+    }
+
+    finalize(result);
+    return result;
+}
+
+TEST(RecomputeOracle, VectorisedRowMatchesLegacyInPlaceRow)
+{
+    // Random instances mixing the features that decide the row's
+    // bookkeeping: the maxBuckets clamp with units whose quantised
+    // cost equals or exceeds the capacity, zero-time units, long runs
+    // of identical units (they fix which copies the tie order takes)
+    // and bubbles that take the smallest-budget backtrack.
+    int clamped = 0;
+    int bubbled = 0;
+    int runs = 0;
+    for (int seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        std::vector<UnitProfile> units;
+        const auto addUnit = [&](Seconds t, Bytes mem, bool always) {
+            units.push_back(unit(t, mem, always));
+        };
+        const int scattered = static_cast<int>(rng.uniformInt(2, 14));
+        for (int i = 0; i < scattered; ++i) {
+            const Seconds t =
+                rng.uniform() < 0.15 ? 0.0 : rng.uniform(1e-4, 5e-3);
+            const Bytes mem =
+                rng.uniform() < 0.1
+                    ? 0
+                    : static_cast<Bytes>(rng.uniformInt(1, 1 << 20));
+            addUnit(t, mem, rng.uniform() < 0.1);
+        }
+        if (rng.uniform() < 0.5) {
+            ++runs;
+            const Seconds t =
+                rng.uniform() < 0.2 ? 0.0 : rng.uniform(1e-4, 5e-3);
+            const Bytes mem =
+                static_cast<Bytes>(rng.uniformInt(1, 1 << 18));
+            const int copies = static_cast<int>(rng.uniformInt(8, 40));
+            for (int i = 0; i < copies; ++i)
+                addUnit(t, mem, false);
+            std::swap(units[rng.uniformInt(0, units.size() - 1)],
+                      units.back());
+        }
+
+        RecomputeDpOptions opts;
+        opts.maxBuckets = static_cast<int>(
+            rng.uniform() < 0.5 ? rng.uniformInt(4, 64)
+                                : rng.uniformInt(256, 4096));
+        opts.useGcd = rng.uniform() < 0.7;
+        std::int64_t total = 0;
+        Seconds total_fwd = 0;
+        for (const UnitProfile &u : units) {
+            if (!u.alwaysSaved) {
+                total += static_cast<std::int64_t>(u.memSaved);
+                total_fwd += u.timeFwd;
+            }
+        }
+        const auto budget = static_cast<std::int64_t>(
+            static_cast<double>(total) * rng.uniform(0.05, 1.1));
+        if (!opts.useGcd && budget > opts.maxBuckets) {
+            // Clamp edge: with 1-byte GCD granularity the bucket is
+            // ceil(budget / maxBuckets); one unit lands exactly on the
+            // capacity, one a byte past it.
+            ++clamped;
+            const std::int64_t gran =
+                (budget + opts.maxBuckets - 1) / opts.maxBuckets;
+            const std::int64_t cap = budget / gran;
+            addUnit(rng.uniform(1e-4, 5e-3),
+                    static_cast<Bytes>(cap * gran), false);
+            addUnit(rng.uniform(1e-4, 5e-3),
+                    static_cast<Bytes>(cap * gran + 1), false);
+        }
+        if (rng.uniform() < 0.4) {
+            ++bubbled;
+            opts.overlapBubble = rng.uniform(0.0, 0.9) * total_fwd;
+        }
+
+        const RecomputePlanResult want =
+            legacyKnapsack(units, budget, opts);
+        const RecomputePlanResult got =
+            solveRecomputeKnapsack(units, budget, opts);
+        EXPECT_EQ(got.saved, want.saved)
+            << "seed " << seed << " budget " << budget << " buckets "
+            << opts.maxBuckets << " gcd " << opts.useGcd << " bubble "
+            << opts.overlapBubble;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.savedFwdTime),
+                  std::bit_cast<std::uint64_t>(want.savedFwdTime))
+            << "seed " << seed;
+    }
+    EXPECT_GE(clamped, 30);
+    EXPECT_GE(bubbled, 60);
+    EXPECT_GE(runs, 60);
 }
 
 TEST(RecomputeOracle, MatchesLibraryBruteForce)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,13 +53,13 @@ tinyRequestLine(const std::string &kind, int pipeline = 2)
 }
 
 /**
- * A realistically sized request. Sequence length 8192 is memory-tight
- * enough that the recompute knapsack actually runs (shorter sequences
- * take the everything-fits fast path and never touch the memo).
+ * A realistically sized request. A @p budget_fraction of 0 keeps the
+ * wire default of mem_budget_fraction.
  */
 std::string
 mediumRequestLine(const std::string &kind, int pipeline = 2,
-                  const std::string &fault = "", int seq = 2048)
+                  const std::string &fault = "", int seq = 2048,
+                  double budget_fraction = 0)
 {
     return std::string("{\"kind\": \"") + kind +
            "\", \"plan\": {\"model\": \"gpt3-13b\", "
@@ -66,8 +67,12 @@ mediumRequestLine(const std::string &kind, int pipeline = 2,
            "\"train\": {\"seq_len\": " + std::to_string(seq) +
            ", \"global_batch\": 32}, "
            "\"parallel\": {\"tensor\": 4, \"pipeline\": " +
-           std::to_string(pipeline) + "}}" +
-           (fault.empty() ? "" : ", \"fault\": " + fault) + "}";
+           std::to_string(pipeline) + "}" +
+           (budget_fraction > 0
+                ? ", \"mem_budget_fraction\": " +
+                      std::to_string(budget_fraction)
+                : "") +
+           "}" + (fault.empty() ? "" : ", \"fault\": " + fault) + "}";
 }
 
 // ---------------------------------------------------------------------------
@@ -255,23 +260,31 @@ TEST(KnapsackMemoTest, MemoHitsGrowMonotonicallyAcrossServiceSweep)
 
     // A pipeline-depth sweep followed by fault reports revisits
     // identical (stage size, budget) knapsack subproblems; later
-    // requests must hit the memo. Counters only ever grow.
+    // requests must hit the memo. Counters only ever grow. The search
+    // solves only the knapsacks that can change a plan, so the sweep
+    // needs requests whose chosen stages recompute, healthy and
+    // straggling alike: seq 16384 at half the device memory.
     const std::string sweep[] = {
-        mediumRequestLine("plan", 2, "", 8192),
-        mediumRequestLine("plan", 4, "", 8192),
+        mediumRequestLine("plan", 2, "", 16384, 0.5),
+        mediumRequestLine("plan", 4, "", 16384, 0.5),
         mediumRequestLine("replan", 2,
                           "{\"straggler_stage\": 0, "
                           "\"straggler_factor\": 2.0}",
-                          8192),
+                          16384, 0.5),
         mediumRequestLine("replan", 2,
                           "{\"straggler_stage\": 0, "
                           "\"straggler_factor\": 3.0}",
-                          8192),
+                          16384, 0.5),
     };
-    for (const std::string &line : sweep) {
-        const std::string response = service.handleLine(line);
+    for (std::size_t k = 0; k < std::size(sweep); ++k) {
+        const std::string response = service.handleLine(sweep[k]);
         ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
         const KnapsackMemoStats stats = service.memo().stats();
+        if (k == 0) {
+            // Precondition: the first plan already runs the knapsack.
+            ASSERT_GT(stats.misses, 0)
+                << "the first plan never reaches the knapsack memo";
+        }
         EXPECT_GE(stats.hits, last_hits);
         EXPECT_GE(stats.misses, last_misses);
         last_hits = stats.hits;
@@ -281,8 +294,8 @@ TEST(KnapsackMemoTest, MemoHitsGrowMonotonicallyAcrossServiceSweep)
     EXPECT_GT(final_stats.hits, 0);
     EXPECT_GT(final_stats.misses, 0);
     EXPECT_GT(final_stats.entries, 0);
-    // A straggler changes times, not memory: the fault-report series
-    // re-solves only subproblems the healthy plans already solved.
+    // Every miss inserts exactly one entry: a serial sweep never
+    // solves the same subproblem twice.
     EXPECT_EQ(final_stats.entries, final_stats.misses);
 }
 
