@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "autograd/gemm.h"
 #include "util/logging.h"
 
 namespace adapipe {
@@ -14,6 +15,9 @@ namespace {
 using Impl = Variable::Impl;
 using autograd_detail::BackwardResult;
 using autograd_detail::GradParts;
+using autograd_detail::matmulBackwardA;
+using autograd_detail::matmulBackwardB;
+using autograd_detail::matmulForward;
 
 /** Single-addend contribution list. */
 GradParts
@@ -25,129 +29,24 @@ one(Tensor t)
 }
 
 /**
- * Cache-blocked matmul kernels.
- *
- * Blocking runs over the output (m/n) tile only: for every output
- * element the k-summation order — and the exact-zero skip — is
- * identical to the naive triple loop, so every result is
- * bit-identical to it. The pipeline runtime's loss bit-equality
- * contract (pipeline == single-threaded trainer) depends on that,
- * which is why none of these kernels reassociates the reduction.
+ * GELU (tanh approximation) at one point: the value and the
+ * derivative from a single tanh.
  */
-constexpr int kTileRows = 32;
-constexpr int kTileCols = 128;
-
-/** out += A . B for A [m,k], B [k,n]; out must start zeroed. */
-void
-matmulForward(const Tensor &av, const Tensor &bv, Tensor &out)
+struct GeluPoint
 {
-    const int m = av.rows();
-    const int k = av.cols();
-    const int n = bv.cols();
-    const float *A = av.data().data();
-    const float *B = bv.data().data();
-    float *O = out.data().data();
-    for (int i0 = 0; i0 < m; i0 += kTileRows) {
-        const int i1 = std::min(i0 + kTileRows, m);
-        for (int j0 = 0; j0 < n; j0 += kTileCols) {
-            const int j1 = std::min(j0 + kTileCols, n);
-            for (int i = i0; i < i1; ++i) {
-                const float *arow =
-                    A + static_cast<std::size_t>(i) * k;
-                float *orow = O + static_cast<std::size_t>(i) * n;
-                for (int kk = 0; kk < k; ++kk) {
-                    const float aik = arow[kk];
-                    if (aik == 0.0f)
-                        continue;
-                    const float *brow =
-                        B + static_cast<std::size_t>(kk) * n;
-                    for (int j = j0; j < j1; ++j)
-                        orow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-}
+    float value;
+    float slope;
+};
 
-/**
- * da += g . B^T for g [m,n], B [k,n]; da must start zeroed. B is
- * transposed once into a scratch tensor so the inner loop runs
- * unit-stride instead of striding down B's columns.
- */
-void
-matmulBackwardA(const Tensor &g, const Tensor &bv, Tensor &da)
+inline GeluPoint
+geluAt(float x)
 {
-    const int m = g.rows();
-    const int n = g.cols();
-    const int k = bv.rows();
-    Tensor bt = Tensor::uninitialized({n, k});
-    {
-        const float *B = bv.data().data();
-        float *BT = bt.data().data();
-        for (int kk = 0; kk < k; ++kk) {
-            const float *brow = B + static_cast<std::size_t>(kk) * n;
-            for (int j = 0; j < n; ++j)
-                BT[static_cast<std::size_t>(j) * k + kk] = brow[j];
-        }
-    }
-    const float *G = g.data().data();
-    const float *BT = bt.data().data();
-    float *DA = da.data().data();
-    for (int i0 = 0; i0 < m; i0 += kTileRows) {
-        const int i1 = std::min(i0 + kTileRows, m);
-        for (int k0 = 0; k0 < k; k0 += kTileCols) {
-            const int k1 = std::min(k0 + kTileCols, k);
-            for (int i = i0; i < i1; ++i) {
-                const float *grow =
-                    G + static_cast<std::size_t>(i) * n;
-                float *darow = DA + static_cast<std::size_t>(i) * k;
-                for (int j = 0; j < n; ++j) {
-                    const float gij = grow[j];
-                    if (gij == 0.0f)
-                        continue;
-                    const float *btrow =
-                        BT + static_cast<std::size_t>(j) * k;
-                    for (int kk = k0; kk < k1; ++kk)
-                        darow[kk] += gij * btrow[kk];
-                }
-            }
-        }
-    }
-}
-
-/** db += A^T . g for A [m,k], g [m,n]; db must start zeroed. */
-void
-matmulBackwardB(const Tensor &av, const Tensor &g, Tensor &db)
-{
-    const int m = av.rows();
-    const int k = av.cols();
-    const int n = g.cols();
-    const float *A = av.data().data();
-    const float *G = g.data().data();
-    float *DB = db.data().data();
-    for (int k0 = 0; k0 < k; k0 += kTileRows) {
-        const int k1 = std::min(k0 + kTileRows, k);
-        for (int j0 = 0; j0 < n; j0 += kTileCols) {
-            const int j1 = std::min(j0 + kTileCols, n);
-            // i stays the reduction loop: each db element sums its
-            // contributions in ascending-i order, as before.
-            for (int i = 0; i < m; ++i) {
-                const float *arow =
-                    A + static_cast<std::size_t>(i) * k;
-                const float *grow =
-                    G + static_cast<std::size_t>(i) * n;
-                for (int kk = k0; kk < k1; ++kk) {
-                    const float aik = arow[kk];
-                    if (aik == 0.0f)
-                        continue;
-                    float *dbrow =
-                        DB + static_cast<std::size_t>(kk) * n;
-                    for (int j = j0; j < j1; ++j)
-                        dbrow[j] += aik * grow[j];
-                }
-            }
-        }
-    }
+    const float c = 0.7978845608028654f; // sqrt(2/pi)
+    const float t = std::tanh(c * (x + 0.044715f * x * x * x));
+    const float sech2 = 1.0f - t * t;
+    return {0.5f * x * (1.0f + t),
+            0.5f * (1.0f + t) +
+                0.5f * x * sech2 * c * (1.0f + 3.0f * 0.044715f * x * x)};
 }
 
 /** db[j] += sum_i g(i, j), ascending i — the addBias reduction. */
@@ -311,9 +210,6 @@ linearBiasGelu(const Variable &x, const Variable &w,
     const int k = av.cols();
     const int n = wv.cols();
 
-    // The pre-activation must survive for the backward pass (the
-    // GELU derivative is a function of it), mirroring the tensor
-    // the separate addBias node would have kept.
     Tensor pre({m, n});
     matmulForward(av, wv, pre);
     {
@@ -326,35 +222,26 @@ linearBiasGelu(const Variable &x, const Variable &w,
         }
     }
 
-    const float c = 0.7978845608028654f; // sqrt(2/pi)
+    // The backward pass needs only GELU's derivative at the
+    // pre-activation, so the derivative overwrites the pre-activation
+    // in its own buffer (the tensor the separate addBias node would
+    // have kept) and the forward's tanh serves both.
     Tensor out = Tensor::uninitialized({m, n});
     for (std::int64_t i = 0; i < out.numel(); ++i) {
-        const float xv = pre[i];
-        const float inner = c * (xv + 0.044715f * xv * xv * xv);
-        out[i] = 0.5f * xv * (1.0f + std::tanh(inner));
+        const GeluPoint p = geluAt(pre[i]);
+        out[i] = p.value;
+        pre[i] = p.slope;
     }
 
     return Variable::makeNodeSlotwise(
         std::move(out), {x, w, bias},
-        [m, k, n, c, pre = std::move(pre)](Impl &node,
-                                           int slot) -> GradParts {
-            // Every slot recomputes dpre from the saved
-            // pre-activation: the elementwise work is cheap next to
-            // the matmuls, and it keeps the three slot tasks free of
-            // shared mutable state (pre is read-only here).
+        [m, k, n, slope = std::move(pre)](Impl &node,
+                                          int slot) -> GradParts {
+            // Each slot forms dpre itself, so the three slot tasks
+            // share no mutable state (slope is read-only here).
             Tensor dpre = node.grad;
-            for (std::int64_t i = 0; i < dpre.numel(); ++i) {
-                const float xv = pre[i];
-                const float inner =
-                    c * (xv + 0.044715f * xv * xv * xv);
-                const float t = std::tanh(inner);
-                const float sech2 = 1.0f - t * t;
-                const float d =
-                    0.5f * (1.0f + t) +
-                    0.5f * xv * sech2 * c *
-                        (1.0f + 3.0f * 0.044715f * xv * xv);
-                dpre[i] *= d;
-            }
+            for (std::int64_t i = 0; i < dpre.numel(); ++i)
+                dpre[i] *= slope[i];
 
             if (slot == 0) {
                 Tensor da({m, k});
@@ -420,30 +307,17 @@ mul(const Variable &a, const Variable &b)
 Variable
 gelu(const Variable &a)
 {
-    // tanh-approximate GELU, matching common transformer stacks.
-    const float c = 0.7978845608028654f; // sqrt(2/pi)
     Tensor out = a.value();
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        const float x = out[i];
-        const float inner = c * (x + 0.044715f * x * x * x);
-        out[i] = 0.5f * x * (1.0f + std::tanh(inner));
-    }
-    return Variable::makeNode(std::move(out), {a}, [c](Impl &node) {
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+        out[i] = geluAt(out[i]).value;
+    return Variable::makeNode(std::move(out), {a}, [](Impl &node) {
         BackwardResult result(1);
         const auto &pa = node.parents[0];
         if (!pa)
             return result;
         Tensor da = node.grad;
-        for (std::int64_t i = 0; i < da.numel(); ++i) {
-            const float x = pa->value[i];
-            const float inner = c * (x + 0.044715f * x * x * x);
-            const float t = std::tanh(inner);
-            const float sech2 = 1.0f - t * t;
-            const float d =
-                0.5f * (1.0f + t) +
-                0.5f * x * sech2 * c * (1.0f + 3.0f * 0.044715f * x * x);
-            da[i] *= d;
-        }
+        for (std::int64_t i = 0; i < da.numel(); ++i)
+            da[i] *= geluAt(pa->value[i]).slope;
         result[0] = one(std::move(da));
         return result;
     });

@@ -36,8 +36,9 @@ Variable linearBias(const Variable &x, const Variable &w,
 
 /**
  * Fused gelu(x . W + bias) as a single graph node. Bit-identical
- * to gelu(addBias(matmul(x, w), bias)); the pre-activation is kept
- * for the backward pass in place of the intermediate node.
+ * to gelu(addBias(matmul(x, w), bias)); GELU's derivative at the
+ * pre-activation is kept for the backward pass in place of the
+ * intermediate node, computed from the forward's own tanh.
  */
 Variable linearBiasGelu(const Variable &x, const Variable &w,
                         const Variable &bias);

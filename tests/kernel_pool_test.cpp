@@ -1,23 +1,32 @@
 /**
  * @file
- * Bit-equality tests for the blocked/fused matmul kernels against
- * the naive reference loops, plus regression tests for the tensor
- * buffer pool (checkpoint replays must recycle buffers instead of
- * hitting the heap every iteration).
+ * Bit-equality tests for the matmul micro-kernel and the fused
+ * linear ops against the naive reference loops, plus regression
+ * tests for the tensor buffer pool (checkpoint replays must recycle
+ * buffers instead of hitting the heap every iteration).
  *
  * The references below ARE the pre-optimization loops, verbatim:
  * same loop nesting, same exact-zero skips, same summation order.
- * Every comparison is EXPECT_EQ on floats — bit equality, not
+ * Every comparison is on the bits of each float — bit equality, not
  * tolerance — because the pipeline runtime's determinism contract
- * is bit-exact losses.
+ * is bit-exact losses. The kernel tests run once per SIMD width in
+ * the build, not only for the one the dispatch picks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "autograd/checkpoint.h"
+#include "autograd/gemm.h"
 #include "autograd/module.h"
 #include "autograd/ops.h"
 #include "autograd/tensor_pool.h"
@@ -26,6 +35,8 @@
 
 namespace adapipe {
 namespace {
+
+using autograd_detail::GemmKernel;
 
 /** Naive C = A . B with the exact-zero skip. */
 Tensor
@@ -87,27 +98,48 @@ naiveBackwardB(const Tensor &av, const Tensor &g)
     return db;
 }
 
+/** Bit equality: tells -0 from +0 and NaN payloads apart. */
 void
 expectBitIdentical(const Tensor &got, const Tensor &want)
 {
     ASSERT_TRUE(got.sameShape(want));
-    for (std::int64_t i = 0; i < got.numel(); ++i)
-        EXPECT_EQ(got[i], want[i]) << "element " << i;
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
 }
 
-/**
- * Odd, non-tile-aligned shapes: 1-element edges, sizes straddling
- * the 32/128 tile boundaries, and skinny matrices in both
- * orientations.
- */
 struct Shape
 {
     int m, k, n;
 };
-const Shape kShapes[] = {
-    {1, 1, 1},   {3, 5, 7},    {17, 13, 9},   {31, 32, 33},
-    {32, 64, 1}, {1, 129, 64}, {33, 127, 131}, {64, 2, 150},
-};
+
+/**
+ * Odd and skinny shapes in both orientations, plus shapes around
+ * every width's tile edges: 4-row tiles (m = 1, 3, 4, 5, 65) and
+ * strips of 2W columns for W = 4, 8, 16 (2W-1, 2W, 2W+1 columns, so
+ * the W, W/2, ..., 1 tails all run), at depth 1 and at depth 2W±1.
+ * {m, e, e} puts the edge on the output columns of all three
+ * products (forward: n, dA: k, dB: n) and on dB's output rows (k).
+ */
+std::vector<Shape>
+testShapes()
+{
+    std::vector<Shape> shapes = {
+        {1, 1, 1},   {3, 5, 7},    {17, 13, 9},    {31, 32, 33},
+        {32, 64, 1}, {1, 129, 64}, {33, 127, 131}, {64, 2, 150},
+    };
+    for (int m : {1, 3, 4, 5, 65}) {
+        for (int w : {4, 8, 16}) {
+            for (int e : {2 * w - 1, 2 * w, 2 * w + 1}) {
+                shapes.push_back({m, e, e});
+                shapes.push_back({m, 1, e});
+            }
+        }
+    }
+    return shapes;
+}
 
 /** Random tensor with exact zeros planted to exercise the skips. */
 Tensor
@@ -123,7 +155,7 @@ TEST(KernelEquivalence, MatmulForwardMatchesNaive)
 {
     for (std::uint64_t seed : {1u, 99u}) {
         Rng rng(seed);
-        for (const Shape &s : kShapes) {
+        for (const Shape &s : testShapes()) {
             const Tensor a = randnWithZeros({s.m, s.k}, rng);
             const Tensor b = randnWithZeros({s.k, s.n}, rng);
             NoGradGuard no_grad;
@@ -138,7 +170,7 @@ TEST(KernelEquivalence, MatmulBackwardMatchesNaive)
 {
     for (std::uint64_t seed : {2u, 77u}) {
         Rng rng(seed);
-        for (const Shape &s : kShapes) {
+        for (const Shape &s : testShapes()) {
             Variable a(randnWithZeros({s.m, s.k}, rng), true);
             Variable b(randnWithZeros({s.k, s.n}, rng), true);
             Variable out = ops::matmul(a, b);
@@ -152,10 +184,175 @@ TEST(KernelEquivalence, MatmulBackwardMatchesNaive)
     }
 }
 
+/**
+ * The KernelEquivalence tests above check the width the dispatch
+ * picks, through ops::matmul. These run once per width in the build,
+ * each named after its width (AllWidths/GemmWidth.<test>/<width>), so
+ * a width this CPU cannot run shows up as skipped instead of going
+ * untested without a word.
+ */
+class GemmWidth : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!kernel().supported)
+            GTEST_SKIP() << kernel().name << " is not supported by this CPU";
+    }
+
+    /** The parameter indexes gemmKernels(), so test names stay stable. */
+    const GemmKernel &
+    kernel() const
+    {
+        return autograd_detail::gemmKernels()[GetParam()];
+    }
+};
+
+TEST_P(GemmWidth, ForwardMatchesNaive)
+{
+    for (std::uint64_t seed : {1u, 99u}) {
+        Rng rng(seed);
+        for (const Shape &s : testShapes()) {
+            const Tensor a = randnWithZeros({s.m, s.k}, rng);
+            const Tensor b = randnWithZeros({s.k, s.n}, rng);
+            Tensor out({s.m, s.n});
+            autograd_detail::matmulForward(a, b, out, kernel());
+            expectBitIdentical(out, naiveMatmul(a, b));
+        }
+    }
+}
+
+TEST_P(GemmWidth, BackwardMatchesNaive)
+{
+    for (std::uint64_t seed : {2u, 77u}) {
+        Rng rng(seed);
+        for (const Shape &s : testShapes()) {
+            const Tensor a = randnWithZeros({s.m, s.k}, rng);
+            const Tensor b = randnWithZeros({s.k, s.n}, rng);
+            const Tensor g = randnWithZeros({s.m, s.n}, rng);
+            Tensor da({s.m, s.k});
+            autograd_detail::matmulBackwardA(g, b, da, kernel());
+            expectBitIdentical(da, naiveBackwardA(g, b));
+            Tensor db({s.k, s.n});
+            autograd_detail::matmulBackwardB(a, g, db, kernel());
+            expectBitIdentical(db, naiveBackwardB(a, g));
+        }
+    }
+}
+
+TEST_P(GemmWidth, ZeroUpperTriangleMatchesNaive)
+{
+    // Causal attention probabilities: row i is exactly zero past
+    // column i, so the zero skip fires on a whole triangle (softmax
+    // . V forward, and the same operand on the A side of dA and dB).
+    Rng rng(5);
+    for (int t : {1, 5, 17, 64}) {
+        Tensor tri = Tensor::randn({t, t}, rng);
+        for (int i = 0; i < t; ++i) {
+            for (int j = i + 1; j < t; ++j)
+                tri.at(i, j) = 0.0f;
+        }
+        const Tensor v = Tensor::randn({t, 33}, rng);
+        const Tensor w = Tensor::randn({33, t}, rng);
+        Tensor out({t, 33});
+        autograd_detail::matmulForward(tri, v, out, kernel());
+        expectBitIdentical(out, naiveMatmul(tri, v));
+        Tensor da({t, 33});
+        autograd_detail::matmulBackwardA(tri, w, da, kernel());
+        expectBitIdentical(da, naiveBackwardA(tri, w));
+        Tensor db({t, 33});
+        autograd_detail::matmulBackwardB(tri, v, db, kernel());
+        expectBitIdentical(db, naiveBackwardB(tri, v));
+    }
+}
+
+TEST_P(GemmWidth, ZeroSkipKeepsInfAndNanOut)
+{
+    // 0 * inf and 0 * NaN are NaN, so this is the one input where
+    // the exact-zero skip changes the result: a width that multiplies
+    // through the zero instead of skipping it fails here. Each B-side
+    // operand gets one row of inf, -inf and NaN whose A-side entries
+    // are exactly zero on even rows.
+    const float special[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+    const int m = 9;
+    const int k = 7;
+    const int n = 35;
+    const int hot = 3;
+    Rng rng(6);
+
+    // Forward: row `hot` of b, column `hot` of a.
+    Tensor a = Tensor::randn({m, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng);
+    for (int j = 0; j < n; ++j)
+        b.at(hot, j) = special[j % 3];
+    for (int i = 0; i < m; i += 2)
+        a.at(i, hot) = 0.0f;
+    // dA = g . b^T reads b by columns: column `hot` of bc and of g.
+    Tensor g = Tensor::randn({m, n}, rng);
+    Tensor bc = Tensor::randn({k, n}, rng);
+    for (int kk = 0; kk < k; ++kk)
+        bc.at(kk, hot) = special[kk % 3];
+    for (int i = 0; i < m; i += 2)
+        g.at(i, hot) = 0.0f;
+    // dB = a^T . g2 reads a by columns: row `hot` of g2, of a2.
+    Tensor a2 = Tensor::randn({m, k}, rng);
+    Tensor g2 = Tensor::randn({m, n}, rng);
+    for (int j = 0; j < n; ++j)
+        g2.at(hot, j) = special[j % 3];
+    for (int kk = 0; kk < k; kk += 2)
+        a2.at(hot, kk) = 0.0f;
+
+    const Tensor want_out = naiveMatmul(a, b);
+    const Tensor want_da = naiveBackwardA(g, bc);
+    const Tensor want_db = naiveBackwardB(a2, g2);
+    // The references skip: a zeroed row stays finite, the next one
+    // does not.
+    EXPECT_TRUE(std::isfinite(want_out.at(0, 2)));
+    EXPECT_FALSE(std::isfinite(want_out.at(1, 2)));
+    EXPECT_TRUE(std::isfinite(want_da.at(0, 2)));
+    EXPECT_FALSE(std::isfinite(want_da.at(1, 2)));
+    EXPECT_TRUE(std::isfinite(want_db.at(0, 2)));
+    EXPECT_FALSE(std::isfinite(want_db.at(1, 2)));
+
+    Tensor out({m, n});
+    autograd_detail::matmulForward(a, b, out, kernel());
+    expectBitIdentical(out, want_out);
+    Tensor da({m, k});
+    autograd_detail::matmulBackwardA(g, bc, da, kernel());
+    expectBitIdentical(da, want_da);
+    Tensor db({k, n});
+    autograd_detail::matmulBackwardB(a2, g2, db, kernel());
+    expectBitIdentical(db, want_db);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWidths, GemmWidth,
+    ::testing::Range<std::size_t>(0, autograd_detail::gemmKernels().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return std::string(autograd_detail::gemmKernels()[info.param].name);
+    });
+
+TEST(KernelDispatch, PicksWidestSupportedKernel)
+{
+    const auto kernels = autograd_detail::gemmKernels();
+    ASSERT_FALSE(kernels.empty());
+    // The baseline width runs everywhere; the dispatch takes the
+    // first (widest) width the CPU supports.
+    EXPECT_TRUE(kernels.back().supported);
+    const auto widest =
+        std::find_if(kernels.begin(), kernels.end(),
+                     [](const GemmKernel &k) { return k.supported; });
+    EXPECT_EQ(&autograd_detail::gemmKernel(), &*widest);
+    RecordProperty("dispatched_width", autograd_detail::gemmKernel().name);
+}
+
 TEST(KernelEquivalence, LinearBiasMatchesUnfusedGraph)
 {
     Rng rng(3);
-    for (const Shape &s : kShapes) {
+    for (const Shape &s : testShapes()) {
         Variable x1(randnWithZeros({s.m, s.k}, rng), true);
         Variable w1(randnWithZeros({s.k, s.n}, rng), true);
         Variable b1(Tensor::randn({s.n}, rng), true);
@@ -179,7 +376,7 @@ TEST(KernelEquivalence, LinearBiasMatchesUnfusedGraph)
 TEST(KernelEquivalence, LinearBiasGeluMatchesUnfusedGraph)
 {
     Rng rng(4);
-    for (const Shape &s : kShapes) {
+    for (const Shape &s : testShapes()) {
         Variable x1(randnWithZeros({s.m, s.k}, rng), true);
         Variable w1(randnWithZeros({s.k, s.n}, rng), true);
         Variable b1(Tensor::randn({s.n}, rng), true);
