@@ -56,33 +56,40 @@ fmt(const char *format, double value)
     return buf;
 }
 
-/** Short per-stage recompute summary, e.g. "none x2" or "full,attn". */
+/**
+ * Short per-stage summary of the block actions, e.g. "none x2" or
+ * "offload,full"; a host-staged block reads "offload".
+ */
 std::string
-recomputeLabel(const StageSpec &spec)
+actionLabel(const StageSpec &spec)
 {
     if (spec.numBlocks() == 0)
         return "-";
-    auto key = [](BlockRecompute mode) {
+    auto key = [&spec](std::size_t i) -> std::string {
+        if (i < spec.offload.size() && spec.offload[i])
+            return "offload";
         for (const RecomputeStrategy &s : recomputeStrategyTable()) {
-            if (s.mode == mode)
+            if (s.mode == spec.recompute[i])
                 return s.key;
         }
         return "?";
     };
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < spec.recompute.size(); ++i)
+        keys.push_back(key(i));
     bool uniform = true;
-    for (const BlockRecompute mode : spec.recompute)
-        uniform = uniform && mode == spec.recompute.front();
+    for (const std::string &k : keys)
+        uniform = uniform && k == keys.front();
     if (uniform) {
         std::ostringstream oss;
-        oss << key(spec.recompute.front()) << " x"
-            << spec.numBlocks();
+        oss << keys.front() << " x" << spec.numBlocks();
         return oss.str();
     }
     std::string out;
-    for (std::size_t i = 0; i < spec.recompute.size(); ++i) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
         if (i)
             out += ",";
-        out += key(spec.recompute[i]);
+        out += keys[i];
     }
     return out;
 }
@@ -280,10 +287,8 @@ main(int argc, char **argv)
     opts.overlapReplay = cli.getFlag("overlap");
     if (have_plan) {
         StageMapping mapping = stageSpecsFromPlan(plan, cfg);
-        mapping.intraStageThreads = intra_threads;
         specs = std::move(mapping.stages);
         opts.virtualStages = mapping.virtualStages;
-        opts.intraStageThreads = mapping.intraStageThreads;
         opts.overlapReplay = opts.overlapReplay || mapping.overlap;
         notes.insert(notes.end(), mapping.notes.begin(),
                      mapping.notes.end());
@@ -513,7 +518,7 @@ main(int argc, char **argv)
                 predicted_act[static_cast<std::size_t>(s)];
             table.addRow(
                 {std::to_string(s), range.str(),
-                 recomputeLabel(spec), formatSeconds(sm.fwdSeconds),
+                 actionLabel(spec), formatSeconds(sm.fwdSeconds),
                  formatSeconds(sm.bwdComputeSeconds()),
                  formatSeconds(sm.replaySeconds),
                  formatSeconds(sm.replayHiddenSeconds),

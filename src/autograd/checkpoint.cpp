@@ -57,8 +57,7 @@ struct ReplayState
 
 namespace {
 
-thread_local ReplayCollector *g_collector = nullptr;
-thread_local OffloadCollector *g_offload_collector = nullptr;
+thread_local CheckpointCollector *g_collector = nullptr;
 
 /**
  * Interior nodes of the warm graph: every non-leaf reachable from
@@ -120,18 +119,23 @@ ensureWarm(ReplayState &st)
 }
 
 /**
- * Build the checkpoint output node over @p state. Shared by
- * checkpoint() and checkpointResident(): the backward closure is the
- * same graph-consuming differentiation either way; resident states
- * additionally gate it on residency (consume the warm graph, or drop
- * it and fall back to a replay when the activations are still on
- * host).
+ * Build the checkpoint output node over @p state, with @p input and
+ * @p params as its parents, and register a handle with the thread's
+ * collector. Shared by checkpoint() and checkpointResident(): the
+ * backward closure is the same graph-consuming differentiation
+ * either way; resident states additionally gate it on residency
+ * (consume the warm graph, or drop it and fall back to a replay when
+ * the activations are still on host).
  */
 Variable
-makeCheckpointNode(std::shared_ptr<ReplayState> state,
-                   Tensor out_value, std::vector<Variable> parents)
+makeCheckpointNode(const std::shared_ptr<ReplayState> &state,
+                   Tensor out_value, const Variable &input,
+                   const std::vector<Variable> &params)
 {
-    return Variable::makeNode(
+    std::vector<Variable> parents;
+    parents.push_back(input);
+    parents.insert(parents.end(), params.begin(), params.end());
+    Variable node_out = Variable::makeNode(
         std::move(out_value), std::move(parents),
         [state](Variable::Impl &node) {
             // Recompute the segment with recording enabled (unless a
@@ -212,124 +216,50 @@ makeCheckpointNode(std::shared_ptr<ReplayState> state,
             }
             return result;
         });
+    // Only differentiable nodes can ever replay; constant results
+    // (grads disabled, no parent requiring them) need no handle.
+    if (node_out.impl() && node_out.impl()->backwardFn)
+        collect(state);
+    return node_out;
 }
 
 } // namespace
 
+void
+collect(std::shared_ptr<ReplayState> state)
+{
+    if (g_collector)
+        g_collector->handles_.push_back(
+            CheckpointHandle(std::move(state)));
+}
+
 } // namespace checkpoint_detail
 
-ReplayHandle::ReplayHandle() = default;
-ReplayHandle::~ReplayHandle() = default;
-ReplayHandle::ReplayHandle(const ReplayHandle &) = default;
-ReplayHandle &ReplayHandle::operator=(const ReplayHandle &) = default;
-ReplayHandle::ReplayHandle(ReplayHandle &&) noexcept = default;
-ReplayHandle &
-ReplayHandle::operator=(ReplayHandle &&) noexcept = default;
-
-ReplayHandle::ReplayHandle(
+CheckpointHandle::CheckpointHandle(
     std::shared_ptr<checkpoint_detail::ReplayState> state)
     : state_(std::move(state))
 {
 }
 
 bool
-ReplayHandle::warm() const
+CheckpointHandle::offloadable() const
 {
-    if (!state_ || state_->warmed)
+    return state_->offloadable;
+}
+
+bool
+CheckpointHandle::warm() const
+{
+    if (state_->offloadable || state_->warmed)
         return false;
     checkpoint_detail::ensureWarm(*state_);
     return true;
 }
 
-bool
-ReplayHandle::warmed() const
-{
-    return state_ && state_->warmed;
-}
-
-ReplayCollector::ReplayCollector()
-    : previous_(checkpoint_detail::g_collector)
-{
-    checkpoint_detail::g_collector = this;
-}
-
-ReplayCollector::~ReplayCollector()
-{
-    checkpoint_detail::g_collector = previous_;
-}
-
-std::vector<ReplayHandle>
-ReplayCollector::take()
-{
-    std::vector<ReplayHandle> out = std::move(handles_);
-    handles_.clear();
-    return out;
-}
-
-Variable
-checkpoint(const Segment &segment, const Variable &input)
-{
-    return checkpoint(segment, input, {});
-}
-
-Variable
-checkpoint(const Segment &segment, const Variable &input,
-           const std::vector<Variable> &params)
-{
-    ADAPIPE_ASSERT(input.defined(), "checkpoint needs a defined input");
-
-    // Forward without recording: none of the segment's intermediates
-    // survive this scope.
-    Tensor out_value;
-    {
-        NoGradGuard guard;
-        Variable detached = input.detach(false);
-        Variable out = segment(detached);
-        out_value = out.value();
-    }
-
-    std::vector<Variable> parents;
-    parents.push_back(input);
-    for (const auto &p : params)
-        parents.push_back(p);
-
-    auto state =
-        std::make_shared<checkpoint_detail::ReplayState>();
-    state->segment = segment;
-    state->input = input;
-
-    Variable result = checkpoint_detail::makeCheckpointNode(
-        state, std::move(out_value), std::move(parents));
-
-    // Only differentiable nodes can ever replay; constant results
-    // (grads disabled, no parent requiring them) need no handle.
-    if (checkpoint_detail::g_collector && result.impl() &&
-        result.impl()->backwardFn) {
-        checkpoint_detail::g_collector->handles_.push_back(
-            ReplayHandle(state));
-    }
-    return result;
-}
-
-OffloadHandle::OffloadHandle() = default;
-OffloadHandle::~OffloadHandle() = default;
-OffloadHandle::OffloadHandle(const OffloadHandle &) = default;
-OffloadHandle &
-OffloadHandle::operator=(const OffloadHandle &) = default;
-OffloadHandle::OffloadHandle(OffloadHandle &&) noexcept = default;
-OffloadHandle &
-OffloadHandle::operator=(OffloadHandle &&) noexcept = default;
-
-OffloadHandle::OffloadHandle(
-    std::shared_ptr<checkpoint_detail::ReplayState> state)
-    : state_(std::move(state))
-{
-}
-
 std::size_t
-OffloadHandle::evict() const
+CheckpointHandle::evict() const
 {
-    if (!state_ || !state_->offloadable)
+    if (!state_->offloadable)
         return 0;
     checkpoint_detail::ReplayState &st = *state_;
     std::lock_guard<std::mutex> lock(st.mu);
@@ -357,9 +287,9 @@ OffloadHandle::evict() const
 }
 
 std::size_t
-OffloadHandle::fetch() const
+CheckpointHandle::fetch() const
 {
-    if (!state_)
+    if (!state_->offloadable)
         return 0;
     checkpoint_detail::ReplayState &st = *state_;
     std::lock_guard<std::mutex> lock(st.mu);
@@ -379,32 +309,53 @@ OffloadHandle::fetch() const
     return bytes;
 }
 
-bool
-OffloadHandle::resident() const
+CheckpointCollector::CheckpointCollector()
+    : previous_(checkpoint_detail::g_collector)
 {
-    if (!state_)
-        return false;
-    std::lock_guard<std::mutex> lock(state_->mu);
-    return !state_->evicted;
+    checkpoint_detail::g_collector = this;
 }
 
-OffloadCollector::OffloadCollector()
-    : previous_(checkpoint_detail::g_offload_collector)
+CheckpointCollector::~CheckpointCollector()
 {
-    checkpoint_detail::g_offload_collector = this;
+    checkpoint_detail::g_collector = previous_;
 }
 
-OffloadCollector::~OffloadCollector()
+std::vector<CheckpointHandle>
+CheckpointCollector::take()
 {
-    checkpoint_detail::g_offload_collector = previous_;
-}
-
-std::vector<OffloadHandle>
-OffloadCollector::take()
-{
-    std::vector<OffloadHandle> out = std::move(handles_);
+    std::vector<CheckpointHandle> out = std::move(handles_);
     handles_.clear();
     return out;
+}
+
+Variable
+checkpoint(const Segment &segment, const Variable &input)
+{
+    return checkpoint(segment, input, {});
+}
+
+Variable
+checkpoint(const Segment &segment, const Variable &input,
+           const std::vector<Variable> &params)
+{
+    ADAPIPE_ASSERT(input.defined(), "checkpoint needs a defined input");
+
+    // Forward without recording: none of the segment's intermediates
+    // survive this scope.
+    Tensor out_value;
+    {
+        NoGradGuard guard;
+        Variable detached = input.detach(false);
+        Variable out = segment(detached);
+        out_value = out.value();
+    }
+
+    auto state =
+        std::make_shared<checkpoint_detail::ReplayState>();
+    state->segment = segment;
+    state->input = input;
+    return checkpoint_detail::makeCheckpointNode(
+        state, std::move(out_value), input, params);
 }
 
 Variable
@@ -430,21 +381,8 @@ checkpointResident(const Segment &segment, const Variable &input,
     state->warmIn = input.detach(true);
     state->warmOut = segment(state->warmIn);
     Tensor out_value = state->warmOut.value();
-
-    std::vector<Variable> parents;
-    parents.push_back(input);
-    for (const auto &p : params)
-        parents.push_back(p);
-
-    Variable result = checkpoint_detail::makeCheckpointNode(
-        state, std::move(out_value), std::move(parents));
-
-    if (checkpoint_detail::g_offload_collector && result.impl() &&
-        result.impl()->backwardFn) {
-        checkpoint_detail::g_offload_collector->handles_.push_back(
-            OffloadHandle(state));
-    }
-    return result;
+    return checkpoint_detail::makeCheckpointNode(
+        state, std::move(out_value), input, params);
 }
 
 } // namespace adapipe

@@ -14,27 +14,28 @@
  * between a micro-batch's forward and its backward (the optimizer
  * steps only after the whole iteration). It can therefore run *early*
  * — during a pipeline bubble — and produce the exact floats the lazy
- * replay would. A ReplayCollector installed on the thread that runs
- * checkpoint() hands out one ReplayHandle per checkpointed segment;
- * warming a handle performs the forward replay immediately and leaves
- * only the cheap differentiation of the rebuilt sub-graph for
+ * replay would. A CheckpointCollector installed on the thread that
+ * runs checkpoint() hands out one CheckpointHandle per checkpointed
+ * segment; warming it performs the forward replay immediately and
+ * leaves only the cheap differentiation of the rebuilt sub-graph for
  * backward time (Chen et al., "Optimizing Large Model Training
  * through Overlapped Activation Recomputation").
  *
  * Host offload: checkpointResident() is the third per-unit choice.
  * It records the segment's graph at forward time (warm from birth)
- * and hands out an OffloadHandle whose evict() stages every interior
- * activation to host memory — releasing the device buffers to the
- * tensor pool — and whose fetch() copies them back bit-exactly. A
- * backward that arrives while the activations are still on host
- * (the prefetch missed its deadline) drops the cold graph and falls
- * back to a plain recompute replay from the kept input, so losses
- * never depend on transfer timing.
+ * and hands out an offloadable CheckpointHandle whose evict() stages
+ * every interior activation to host memory — releasing the device
+ * buffers to the tensor pool — and whose fetch() copies them back
+ * bit-exactly. A backward that arrives while the activations are
+ * still on host (the prefetch missed its deadline) drops the cold
+ * graph and falls back to a plain recompute replay from the kept
+ * input, so losses never depend on transfer timing.
  */
 
 #ifndef ADAPIPE_AUTOGRAD_CHECKPOINT_H
 #define ADAPIPE_AUTOGRAD_CHECKPOINT_H
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -48,110 +49,60 @@ using Segment = std::function<Variable(const Variable &)>;
 
 namespace checkpoint_detail {
 struct ReplayState;
-}
+/** Register @p state with the thread's innermost collector, if any. */
+void collect(std::shared_ptr<ReplayState> state);
+} // namespace checkpoint_detail
 
 /**
- * Handle to one pending checkpoint replay.
+ * Handle to one checkpointed segment, handed out by a
+ * CheckpointCollector. What it can do depends on how the segment was
+ * made:
  *
- * warm() runs the segment's forward replay (recording enabled) right
- * away and stashes the rebuilt sub-graph; the node's backward then
- * differentiates the stashed graph instead of re-running the
- * forward. Warming is idempotent — the replay runs exactly once, on
- * whichever side gets there first — and changes no floats: the warm
- * graph holds the same values the lazy replay would compute, so
- * gradients stay bit-identical.
+ * - checkpoint(): warm() runs the forward replay (recording enabled)
+ *   right away and stashes the rebuilt sub-graph; the node's backward
+ *   then differentiates the stashed graph instead of re-running the
+ *   forward. The replay runs exactly once, on whichever side gets
+ *   there first, and changes no floats: the warm graph holds the same
+ *   values the lazy replay would compute.
+ * - checkpointResident() (offloadable()): evict() stages the
+ *   segment's interior activations to host memory, releasing their
+ *   device buffers to the tensor pool, and fetch() copies them back
+ *   bit-exactly.
+ *
+ * The other kind's calls do nothing: warm() on a resident segment
+ * returns false, evict()/fetch() on a recompute segment return 0.
  *
  * Threading contract: warm() must run on the thread that owns the
  * checkpointed graph, and never concurrently with a backward pass
  * over it. The pipeline runtime honours this by warming only from
- * the stage worker's own channel-wait loops, which cannot overlap
- * its BackwardEngine::run calls; the engine's internal job handoff
- * then orders the warm writes before any helper-thread read.
+ * the stage worker's own channel-wait loop, which cannot overlap its
+ * BackwardEngine::run calls; the engine's internal job handoff then
+ * orders the warm writes before any helper-thread read. evict() and
+ * fetch() may run on any thread (the runtime's host-stager thread):
+ * each holds the segment's state mutex across the whole transfer,
+ * and the backward closure takes the same mutex before touching the
+ * graph, so a backward racing a transfer either sees the fully
+ * restored graph or takes the recompute fallback — never a
+ * half-staged graph.
  */
-class ReplayHandle
+class CheckpointHandle
 {
   public:
-    ReplayHandle();
-    ~ReplayHandle();
-    ReplayHandle(const ReplayHandle &);
-    ReplayHandle &operator=(const ReplayHandle &);
-    ReplayHandle(ReplayHandle &&) noexcept;
-    ReplayHandle &operator=(ReplayHandle &&) noexcept;
+    /** @return whether the segment is resident (evict()/fetch()). */
+    bool offloadable() const;
 
     /**
-     * Run the forward replay now (no-op when already warmed).
+     * Run the forward replay now (no-op when already warmed or
+     * resident).
      * @return whether this call performed the replay.
      */
     bool warm() const;
-
-    /** @return whether the replay has already run. */
-    bool warmed() const;
-
-    /** @return whether the handle points at a live replay. */
-    bool valid() const { return state_ != nullptr; }
-
-  private:
-    friend Variable checkpoint(const Segment &, const Variable &,
-                               const std::vector<Variable> &);
-    explicit ReplayHandle(
-        std::shared_ptr<checkpoint_detail::ReplayState> state);
-
-    std::shared_ptr<checkpoint_detail::ReplayState> state_;
-};
-
-/**
- * RAII collector of ReplayHandles. While one is installed on a
- * thread, every checkpoint() call on that thread that produces a
- * differentiable node registers a handle with the innermost
- * collector; take() drains them in creation order. Collectors nest
- * (the previous one is restored on destruction) and are strictly
- * thread-local.
- */
-class ReplayCollector
-{
-  public:
-    ReplayCollector();
-    ~ReplayCollector();
-
-    ReplayCollector(const ReplayCollector &) = delete;
-    ReplayCollector &operator=(const ReplayCollector &) = delete;
-
-    /** Handles registered since the last take(), creation order. */
-    std::vector<ReplayHandle> take();
-
-  private:
-    friend Variable checkpoint(const Segment &, const Variable &,
-                               const std::vector<Variable> &);
-    std::vector<ReplayHandle> handles_;
-    ReplayCollector *previous_;
-};
-
-/**
- * Handle to one resident (host-offloadable) checkpoint segment,
- * produced by checkpointResident() via an OffloadCollector.
- *
- * Threading contract: evict() and fetch() may run on any thread
- * (the runtime's host-stager thread); each holds the segment's
- * state mutex across the whole transfer, and the backward closure
- * takes the same mutex before touching the graph, so a backward
- * racing a transfer either sees the fully restored graph or takes
- * the recompute fallback — never a half-staged graph.
- */
-class OffloadHandle
-{
-  public:
-    OffloadHandle();
-    ~OffloadHandle();
-    OffloadHandle(const OffloadHandle &);
-    OffloadHandle &operator=(const OffloadHandle &);
-    OffloadHandle(OffloadHandle &&) noexcept;
-    OffloadHandle &operator=(OffloadHandle &&) noexcept;
 
     /**
      * Stage the segment's interior activations to host memory,
      * releasing their device buffers to the tensor pool.
      * @return bytes moved (0 when already evicted, already consumed
-     *         by backward, or the handle is empty)
+     *         by backward, or the segment is not offloadable)
      */
     std::size_t evict() const;
 
@@ -162,47 +113,40 @@ class OffloadHandle
      */
     std::size_t fetch() const;
 
-    /** @return whether the activations currently live on device. */
-    bool resident() const;
-
-    /** @return whether the handle points at a live segment. */
-    bool valid() const { return state_ != nullptr; }
-
   private:
-    friend Variable checkpointResident(const Segment &,
-                                       const Variable &,
-                                       const std::vector<Variable> &);
-    explicit OffloadHandle(
+    friend void checkpoint_detail::collect(
+        std::shared_ptr<checkpoint_detail::ReplayState>);
+    explicit CheckpointHandle(
         std::shared_ptr<checkpoint_detail::ReplayState> state);
 
     std::shared_ptr<checkpoint_detail::ReplayState> state_;
 };
 
 /**
- * RAII collector of OffloadHandles, mirroring ReplayCollector:
- * while one is installed on a thread, every checkpointResident()
- * call on that thread that produces a differentiable node registers
- * a handle with the innermost collector. Nests; strictly
- * thread-local.
+ * RAII collector of CheckpointHandles. While one is installed on a
+ * thread, every checkpoint() or checkpointResident() call on that
+ * thread that produces a differentiable node registers a handle with
+ * the innermost collector; take() drains them in creation order.
+ * Collectors nest (the previous one is restored on destruction) and
+ * are strictly thread-local.
  */
-class OffloadCollector
+class CheckpointCollector
 {
   public:
-    OffloadCollector();
-    ~OffloadCollector();
+    CheckpointCollector();
+    ~CheckpointCollector();
 
-    OffloadCollector(const OffloadCollector &) = delete;
-    OffloadCollector &operator=(const OffloadCollector &) = delete;
+    CheckpointCollector(const CheckpointCollector &) = delete;
+    CheckpointCollector &operator=(const CheckpointCollector &) = delete;
 
     /** Handles registered since the last take(), creation order. */
-    std::vector<OffloadHandle> take();
+    std::vector<CheckpointHandle> take();
 
   private:
-    friend Variable checkpointResident(const Segment &,
-                                       const Variable &,
-                                       const std::vector<Variable> &);
-    std::vector<OffloadHandle> handles_;
-    OffloadCollector *previous_;
+    friend void checkpoint_detail::collect(
+        std::shared_ptr<checkpoint_detail::ReplayState>);
+    std::vector<CheckpointHandle> handles_;
+    CheckpointCollector *previous_;
 };
 
 /**
@@ -227,8 +171,8 @@ Variable checkpoint(const Segment &segment, const Variable &input,
 /**
  * Run @p segment as a *resident* checkpoint: the segment's graph is
  * recorded during the forward pass (warm from birth) so its interior
- * activations stay on device — until an OffloadHandle evicts them to
- * host. Backward differentiates the recorded graph when it is
+ * activations stay on device — until a CheckpointHandle evicts them
+ * to host. Backward differentiates the recorded graph when it is
  * resident and falls back to a recompute replay from the kept input
  * when it is not; both paths perform bit-identical float operations,
  * so gradients match checkpoint() and the plain forward exactly.

@@ -147,7 +147,7 @@ class TransformerBlock
     /**
      * Forward with the whole block recorded as one resident
      * checkpoint whose interior activations can be staged to host
-     * (checkpointResident / OffloadHandle). Bit-identical floats to
+     * (checkpointResident / CheckpointHandle). Bit-identical floats to
      * forward(x, BlockRecompute::None).
      */
     Variable forwardOffload(const Variable &x) const;

@@ -6,40 +6,6 @@
 
 namespace adapipe {
 
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    velocity_.reserve(params_.size());
-    for (auto &p : params_) {
-        ADAPIPE_ASSERT(p.requiresGrad(),
-                       "optimizer parameter without requiresGrad");
-        velocity_.emplace_back(p.value().shape());
-    }
-}
-
-void
-Sgd::step()
-{
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        Tensor &value = params_[i].mutableValue();
-        const Tensor &grad = params_[i].grad();
-        if (grad.numel() != value.numel())
-            continue; // never touched by backward
-        for (std::int64_t j = 0; j < value.numel(); ++j) {
-            float v = momentum_ * velocity_[i][j] + grad[j];
-            velocity_[i][j] = v;
-            value[j] -= lr_ * v;
-        }
-    }
-}
-
-void
-Sgd::zeroGrad()
-{
-    for (auto &p : params_)
-        p.zeroGrad();
-}
-
 float
 clipGradNorm(const std::vector<Variable> &params, float max_norm)
 {

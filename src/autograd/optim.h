@@ -12,33 +12,6 @@
 
 namespace adapipe {
 
-/** Plain SGD with optional momentum. */
-class Sgd
-{
-  public:
-    /**
-     * @param params trainable parameters (leaf variables)
-     * @param lr learning rate
-     * @param momentum momentum coefficient (0 disables)
-     */
-    Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-
-    /** Apply one update from the accumulated gradients. */
-    void step();
-
-    /** Zero all parameter gradients. */
-    void zeroGrad();
-
-    /** @return the parameters in construction order (snapshots). */
-    const std::vector<Variable> &params() const { return params_; }
-
-  private:
-    std::vector<Variable> params_;
-    std::vector<Tensor> velocity_;
-    float lr_;
-    float momentum_;
-};
-
 /**
  * Rescale gradients so their global L2 norm does not exceed
  * @p max_norm (the standard stabiliser in LLM training loops).

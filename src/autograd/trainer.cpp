@@ -1,7 +1,5 @@
 #include "autograd/trainer.h"
 
-#include <memory>
-
 #include "autograd/optim.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -44,12 +42,7 @@ trainTinyLM(TinyLM &model, const TrainOptions &opts)
     ADAPIPE_ASSERT(opts.microBatches >= 1,
                    "need at least one micro-batch");
 
-    std::unique_ptr<Sgd> sgd;
-    std::unique_ptr<Adam> adam;
-    if (opts.useAdam)
-        adam = std::make_unique<Adam>(model.params(), opts.lr);
-    else
-        sgd = std::make_unique<Sgd>(model.params(), opts.lr);
+    Adam adam(model.params(), opts.lr);
 
     TrainStats stats;
     stats.losses.reserve(opts.steps);
@@ -63,10 +56,7 @@ trainTinyLM(TinyLM &model, const TrainOptions &opts)
     std::vector<int> tokens;
     std::vector<int> targets;
     for (int step = 0; step < opts.steps; ++step) {
-        if (adam)
-            adam->zeroGrad();
-        else
-            sgd->zeroGrad();
+        adam.zeroGrad();
 
         double loss_sum = 0;
         for (int mb = 0; mb < n; ++mb) {
@@ -83,11 +73,7 @@ trainTinyLM(TinyLM &model, const TrainOptions &opts)
                 Tensor::full(loss.value().shape(), grad_scale));
         }
         stats.losses.push_back(loss_sum / n);
-
-        if (adam)
-            adam->step();
-        else
-            sgd->step();
+        adam.step();
     }
     stats.peakActivationFloats = peakActivationFloats() - baseline;
     return stats;

@@ -24,8 +24,8 @@ struct TrainOptions
 {
     int steps = 100;
     int seqLen = 16;
+    /** Adam learning rate. */
     float lr = 1e-2f;
-    bool useAdam = true;
     /** Per-block recomputation strategy (empty = save everything). */
     std::vector<BlockRecompute> recompute;
     /** Seed for the data stream (independent of model init). */

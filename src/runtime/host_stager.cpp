@@ -1,11 +1,19 @@
 #include "runtime/host_stager.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "autograd/tensor_pool.h"
 
 namespace adapipe {
+
+namespace {
+
+/** Prefetch window in device-order ops: when the worker's cursor
+ *  reaches op rank t, fetches are queued for parked micro-batches
+ *  whose backward rank is <= t + kPrefetchLookahead. */
+constexpr std::size_t kPrefetchLookahead = 2;
+
+} // namespace
 
 HostStager::HostStager(const Options &opts) : opts_(opts)
 {
@@ -20,7 +28,7 @@ HostStager::~HostStager()
 
 void
 HostStager::submitEvict(std::size_t bwd_rank,
-                        std::vector<OffloadHandle> handles)
+                        std::vector<CheckpointHandle> handles)
 {
     if (handles.empty())
         return;
@@ -43,9 +51,7 @@ HostStager::advance(std::size_t op_rank)
     bool queued = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const std::size_t horizon =
-            op_rank +
-            static_cast<std::size_t>(std::max(0, opts_.lookahead));
+        const std::size_t horizon = op_rank + kPrefetchLookahead;
         for (auto &entry : parked_) {
             if (entry.first > horizon)
                 break;
@@ -132,7 +138,7 @@ HostStager::runJob(const Job &job)
     // A concurrent release() only erases the parked entry; the
     // copied handles stay valid and their consumed flag makes the
     // transfer a no-op.
-    std::vector<OffloadHandle> handles;
+    std::vector<CheckpointHandle> handles;
     {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = parked_.find(job.rank);
@@ -141,7 +147,7 @@ HostStager::runJob(const Job &job)
     }
     std::int64_t moved = 0;
     std::size_t bytes = 0;
-    for (const OffloadHandle &h : handles) {
+    for (const CheckpointHandle &h : handles) {
         const std::size_t b = job.evict ? h.evict() : h.fetch();
         if (b > 0) {
             ++moved;

@@ -8,11 +8,12 @@
  * host memory — releasing the device buffers to the tensor pool —
  * and prefetches them back shortly before the micro-batch's
  * backward, ordered by the worker's 1F1B device order (lowest
- * backward rank first). All graph access goes through OffloadHandle,
- * whose per-segment mutex is held across a whole transfer, so a
- * backward racing a fetch either consumes the fully restored graph
- * or takes the recompute fallback; losses are bit-identical either
- * way, at any worker/virtual-stage/thread count.
+ * backward rank first). All graph access goes through
+ * CheckpointHandle, whose per-segment mutex is held across a whole
+ * transfer, so a backward racing a fetch either consumes the fully
+ * restored graph or takes the recompute fallback; losses are
+ * bit-identical either way, at any worker/virtual-stage/thread
+ * count.
  */
 
 #ifndef ADAPIPE_RUNTIME_HOST_STAGER_H
@@ -49,12 +50,6 @@ class HostStager
          * lose the race against a fast backward).
          */
         bool forceMiss = false;
-        /**
-         * Device-order lookahead: when the worker's cursor reaches
-         * op rank t, fetches are queued for parked micro-batches
-         * whose backward rank is <= t + lookahead.
-         */
-        int lookahead = 2;
     };
 
     explicit HostStager(const Options &opts);
@@ -68,12 +63,12 @@ class HostStager
      * @p bwd_rank and queue their eviction. No-op on an empty list.
      */
     void submitEvict(std::size_t bwd_rank,
-                     std::vector<OffloadHandle> handles);
+                     std::vector<CheckpointHandle> handles);
 
     /**
      * The worker is about to run its op at device-order rank
      * @p op_rank: queue fetches for every parked micro-batch whose
-     * backward rank falls inside the lookahead window.
+     * backward rank is at most two ops ahead.
      */
     void advance(std::size_t op_rank);
 
@@ -105,7 +100,7 @@ class HostStager
 
     struct Parked
     {
-        std::vector<OffloadHandle> handles;
+        std::vector<CheckpointHandle> handles;
         bool fetchQueued = false;
     };
 

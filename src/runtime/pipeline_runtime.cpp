@@ -87,8 +87,7 @@ class SnapshotCoordinator
         if (++arrived_ == numWorkers_) {
             // The snapshot records *completed* steps: gstep + 1.
             TrainingSnapshot snap = captureTrainingSnapshot(
-                model_, adams_, gstep + 1, opts_.dataSeed,
-                opts_.useAdam);
+                model_, adams_, gstep + 1, opts_.dataSeed);
             arrived_ = 0;
             ++generation_;
             lock.unlock();
@@ -153,7 +152,7 @@ struct PendingReplays
     int microBatch = 0;
     /** Next handle to warm. */
     std::size_t next = 0;
-    std::vector<ReplayHandle> handles;
+    std::vector<CheckpointHandle> handles;
 };
 
 /** Activation state of one in-flight micro-batch on one chunk. */
@@ -239,7 +238,9 @@ class StageWorker
     std::vector<Variable> ownParams() const;
     void runForward(int step, const PipeOp &op);
     void runBackward(int step, const PipeOp &op);
-    Tensor recvFrom(BoundedChannel<Tensor> *ch, double *waited_us);
+    template <typename Attempt, typename Block>
+    double waitLoop(Attempt attempt, Block block);
+    double recvFrom(BoundedChannel<Tensor> *ch, Tensor &out);
     double sendTo(BoundedChannel<Tensor> *ch, Tensor value);
     double warmOnePending();
     double drainAllPending();
@@ -276,7 +277,6 @@ class StageWorker
      *  at least one block. */
     std::unique_ptr<HostStager> stager_;
     double lossSum_ = 0;
-    std::int64_t opsExecuted_ = 0;
     /** Ops completed within the current step (the fault injector's
      *  crash coordinate). */
     std::int64_t opsThisStep_ = 0;
@@ -362,25 +362,26 @@ StageWorker::drainAllPending()
 }
 
 /**
- * Channel receive that beats the heartbeat and/or warms pending
- * checkpoint replays while blocked. Without a watchdog and with
- * nothing to warm this is the plain blocking recv (no extra branches
- * inside the wait).
+ * Channel wait that beats the heartbeat and/or warms pending
+ * checkpoint replays while blocked. @p attempt makes one timed try
+ * at the transfer (a zero tick polls) and returns its status;
+ * @p block is the plain blocking transfer, used once there is no
+ * watchdog to beat and nothing left to warm.
  *
- * Wait accounting: the timed-wait paths report the loop's wall clock
- * minus the time spent warming (which is compute, not waiting), so
- * the reported wait matches the plain blocking path no matter how
- * many 2ms beat iterations the wait spanned — the heartbeat overhead
- * between re-armed waits stays inside the measurement instead of
- * leaking out of it.
+ * Wait accounting: the loop reports its wall clock minus the time
+ * spent warming (which is compute, not waiting), so the reported
+ * wait matches the plain blocking path no matter how many 2ms beat
+ * iterations the wait spanned — the heartbeat overhead between
+ * re-armed waits stays inside the measurement instead of leaking out
+ * of it.
+ *
+ * @return microseconds blocked, warm time excluded
  */
-Tensor
-StageWorker::recvFrom(BoundedChannel<Tensor> *ch, double *waited_us)
+template <typename Attempt, typename Block>
+double
+StageWorker::waitLoop(Attempt attempt, Block block)
 {
     const bool overlap = opts_.overlapReplay;
-    if (!watchdog_ && !overlap)
-        return ch->recv(waited_us);
-    Tensor out;
     const double wait_start = obs::nowUs();
     double warm_us = 0;
     if (overlap && opts_.overlapDrainAll)
@@ -388,7 +389,7 @@ StageWorker::recvFrom(BoundedChannel<Tensor> *ch, double *waited_us)
     for (;;) {
         const bool have_pending = overlap && !pending_.empty();
         if (!watchdog_ && !have_pending) {
-            out = ch->recv(nullptr);
+            block();
             break;
         }
         // With work to warm, poll instead of parking: an empty
@@ -397,8 +398,7 @@ StageWorker::recvFrom(BoundedChannel<Tensor> *ch, double *waited_us)
                               ? std::chrono::microseconds(0)
                               : std::chrono::microseconds(
                                     kHeartbeatTick);
-        const ChannelStatus status =
-            ch->tryRecvFor(out, tick, nullptr);
+        const ChannelStatus status = attempt(tick);
         if (status == ChannelStatus::Ok)
             break;
         if (status == ChannelStatus::Closed)
@@ -408,48 +408,41 @@ StageWorker::recvFrom(BoundedChannel<Tensor> *ch, double *waited_us)
         if (have_pending)
             warm_us += warmOnePending();
     }
-    if (waited_us) {
-        *waited_us = std::max(
-            0.0, obs::nowUs() - wait_start - warm_us);
-    }
-    return out;
+    return std::max(0.0, obs::nowUs() - wait_start - warm_us);
 }
 
-/** Heartbeat/overlap-capable counterpart of BoundedChannel::send();
- *  wait accounting as in recvFrom(). */
+/**
+ * Receive into @p out. Without a watchdog and with overlap off this
+ * is the plain blocking recv (no extra branches inside the wait).
+ *
+ * @return microseconds blocked (see waitLoop())
+ */
+double
+StageWorker::recvFrom(BoundedChannel<Tensor> *ch, Tensor &out)
+{
+    double waited_us = 0;
+    if (!watchdog_ && !opts_.overlapReplay) {
+        out = ch->recv(&waited_us);
+        return waited_us;
+    }
+    return waitLoop(
+        [&](std::chrono::microseconds tick) {
+            return ch->tryRecvFor(out, tick, nullptr);
+        },
+        [&] { out = ch->recv(nullptr); });
+}
+
+/** Send counterpart of recvFrom(). */
 double
 StageWorker::sendTo(BoundedChannel<Tensor> *ch, Tensor value)
 {
-    const bool overlap = opts_.overlapReplay;
-    if (!watchdog_ && !overlap)
+    if (!watchdog_ && !opts_.overlapReplay)
         return ch->send(std::move(value));
-    const double wait_start = obs::nowUs();
-    double warm_us = 0;
-    if (overlap && opts_.overlapDrainAll)
-        warm_us += drainAllPending();
-    for (;;) {
-        const bool have_pending = overlap && !pending_.empty();
-        if (!watchdog_ && !have_pending) {
-            ch->send(std::move(value));
-            return std::max(
-                0.0, obs::nowUs() - wait_start - warm_us);
-        }
-        const auto tick = have_pending
-                              ? std::chrono::microseconds(0)
-                              : std::chrono::microseconds(
-                                    kHeartbeatTick);
-        const ChannelStatus status =
-            ch->trySendFor(value, tick, nullptr);
-        if (status == ChannelStatus::Ok)
-            return std::max(
-                0.0, obs::nowUs() - wait_start - warm_us);
-        if (status == ChannelStatus::Closed)
-            throw ChannelClosedError{};
-        if (watchdog_)
-            watchdog_->beat(workerIdx_);
-        if (have_pending)
-            warm_us += warmOnePending();
-    }
+    return waitLoop(
+        [&](std::chrono::microseconds tick) {
+            return ch->trySendFor(value, tick, nullptr);
+        },
+        [&] { ch->send(std::move(value)); });
 }
 
 void
@@ -473,9 +466,8 @@ StageWorker::runForward(int step, const PipeOp &op)
     const int n = opts_.microBatches;
     Variable h;
     if (ctx.fwdIn) {
-        double waited_us = 0;
-        Tensor in = recvFrom(ctx.fwdIn, &waited_us);
-        ctx.metrics.recvWaitSeconds += waited_us * 1e-6;
+        Tensor in;
+        ctx.metrics.recvWaitSeconds += recvFrom(ctx.fwdIn, in) * 1e-6;
         registry_.add("runtime.recvs", 1);
         Variable leaf(std::move(in), /*requires_grad=*/true);
         inflight_[{local, op.microBatch}].input = leaf;
@@ -483,20 +475,12 @@ StageWorker::runForward(int step, const PipeOp &op)
     }
 
     const double start_us = obs::nowUs();
-    // With overlapped replay, scoop up the ReplayHandles the blocks'
-    // checkpoint() calls register so the channel-wait loops can warm
-    // them before this micro-batch's backward.
-    std::optional<ReplayCollector> collector;
-    if (opts_.overlapReplay)
+    // Scoop up the handles the blocks' checkpoints register: resident
+    // (offloaded) segments go to the host stager, recompute segments
+    // to the overlap executor, both keyed by the backward's rank.
+    std::optional<CheckpointCollector> collector;
+    if (opts_.overlapReplay || stager_)
         collector.emplace();
-    // With offloaded blocks, scoop up their OffloadHandles the same
-    // way and hand them to the stager keyed by the backward's rank.
-    const bool chunk_offloads =
-        stager_ && std::find(spec.offload.begin(), spec.offload.end(),
-                             true) != spec.offload.end();
-    std::optional<OffloadCollector> offload_collector;
-    if (chunk_offloads)
-        offload_collector.emplace();
     if (spec.embedding) {
         makeBigramBatch(model_.config().vocab, opts_.seqLen,
                         step * n + op.microBatch, opts_.dataSeed,
@@ -506,39 +490,30 @@ StageWorker::runForward(int step, const PipeOp &op)
     for (int b = spec.firstBlock; b <= spec.lastBlock; ++b) {
         const std::size_t bi =
             static_cast<std::size_t>(b - spec.firstBlock);
-        if (chunk_offloads && spec.offload[bi])
+        if (spec.offload[bi])
             h = model_.blockForwardOffload(b, h);
         else
             h = model_.blockForward(b, h, spec.recompute[bi]);
     }
-    if (offload_collector) {
-        std::vector<OffloadHandle> handles = offload_collector->take();
-        offload_collector.reset();
-        if (!handles.empty()) {
-            const auto rank =
-                bwdRank_.find({op.pos, op.microBatch});
-            ADAPIPE_ASSERT(rank != bwdRank_.end(),
-                           "no backward op for offloaded forward at "
-                           "position ", op.pos, " micro-batch ",
-                           op.microBatch);
-            stager_->submitEvict(rank->second, std::move(handles));
-        }
-    }
     if (collector) {
-        std::vector<ReplayHandle> handles = collector->take();
+        PendingReplays entry;
+        std::vector<CheckpointHandle> offloaded;
+        for (CheckpointHandle &handle : collector->take()) {
+            (handle.offloadable() ? offloaded : entry.handles)
+                .push_back(std::move(handle));
+        }
         collector.reset();
-        if (!handles.empty()) {
-            const auto rank =
-                bwdRank_.find({op.pos, op.microBatch});
-            ADAPIPE_ASSERT(rank != bwdRank_.end(),
-                           "no backward op for position ", op.pos,
-                           " micro-batch ", op.microBatch,
-                           " in the device order");
-            PendingReplays entry;
+        const auto rank = bwdRank_.find({op.pos, op.microBatch});
+        ADAPIPE_ASSERT(rank != bwdRank_.end(),
+                       "no backward op for position ", op.pos,
+                       " micro-batch ", op.microBatch,
+                       " in the device order");
+        if (!offloaded.empty())
+            stager_->submitEvict(rank->second, std::move(offloaded));
+        if (opts_.overlapReplay && !entry.handles.empty()) {
             entry.local = local;
             entry.pos = op.pos;
             entry.microBatch = op.microBatch;
-            entry.handles = std::move(handles);
             pending_.emplace(rank->second, std::move(entry));
         }
     }
@@ -591,9 +566,7 @@ StageWorker::runBackward(int step, const PipeOp &op)
             fl.output.value().shape(),
             1.0f / static_cast<float>(opts_.microBatches));
     } else {
-        double waited_us = 0;
-        seed = recvFrom(ctx.bwdIn, &waited_us);
-        ctx.metrics.recvWaitSeconds += waited_us * 1e-6;
+        ctx.metrics.recvWaitSeconds += recvFrom(ctx.bwdIn, seed) * 1e-6;
         registry_.add("runtime.recvs", 1);
     }
 
@@ -722,13 +695,8 @@ StageWorker::run()
 
     const std::vector<Variable> params = ownParams();
     std::unique_ptr<Adam> adam;
-    std::unique_ptr<Sgd> sgd;
-    if (!params.empty()) {
-        if (opts_.useAdam)
-            adam = std::make_unique<Adam>(params, opts_.lr);
-        else
-            sgd = std::make_unique<Sgd>(params, opts_.lr);
-    }
+    if (!params.empty())
+        adam = std::make_unique<Adam>(params, opts_.lr);
     if (opts_.restore && adam) {
         // Parameters were restored before launch; the moments and
         // the bias-correction counter are per-worker state.
@@ -749,7 +717,6 @@ StageWorker::run()
         HostStager::Options so;
         so.sync = opts_.offloadSync;
         so.forceMiss = opts_.offloadForceMiss;
-        so.lookahead = opts_.offloadLookahead;
         stager_ = std::make_unique<HostStager>(so);
     }
 
@@ -770,8 +737,6 @@ StageWorker::run()
         const int gstep = opts_.firstStep + step;
         if (adam)
             adam->zeroGrad();
-        else if (sgd)
-            sgd->zeroGrad();
         lossSum_ = 0;
         opsThisStep_ = 0;
 
@@ -782,12 +747,6 @@ StageWorker::run()
             // lookahead window get their fetches queued now.
             if (stager_)
                 stager_->advance(k);
-            if (workerIdx_ == opts_.injectFailStage &&
-                opsExecuted_ == opts_.injectFailAfterOps) {
-                throw std::runtime_error(
-                    "injected failure after " +
-                    std::to_string(opsExecuted_) + " ops");
-            }
             const PipeOp &op = sched_.ops[idx];
             const bool forward = op.kind == OpKind::Forward;
             if (injector_) {
@@ -805,7 +764,6 @@ StageWorker::run()
                                    op.microBatch, forward,
                                    obs::nowUs() - op_start);
             }
-            ++opsExecuted_;
             ++opsThisStep_;
             if (watchdog_)
                 watchdog_->beat(workerIdx_);
@@ -824,8 +782,6 @@ StageWorker::run()
             losses_.push_back(lossSum_ / opts_.microBatches);
         if (adam)
             adam->step();
-        else if (sgd)
-            sgd->step();
         if (snapshots_ && snapshots_->due(gstep))
             snapshots_->arrive(workerIdx_, gstep, watchdog_);
     }
@@ -1061,8 +1017,7 @@ runPipeline(TinyLM &model, const std::vector<StageSpec> &stages,
         return invalid("snapshot: every must be >= 0");
     if (opts.snapshot.every > 0 && opts.snapshot.path.empty())
         return invalid("snapshot: every is set but path is empty");
-    if (opts.restore && opts.useAdam &&
-        opts.restore->optimizer != "adam") {
+    if (opts.restore && opts.restore->optimizer != "adam") {
         return invalid("restore: run uses adam but the snapshot "
                        "carries '" +
                        opts.restore->optimizer + "' state");

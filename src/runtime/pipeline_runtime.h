@@ -91,8 +91,8 @@ struct RuntimeOptions
     int seqLen = 32;
     /** Micro-batches n per iteration (gradients averaged). */
     int microBatches = 4;
+    /** Adam learning rate (every worker steps with Adam). */
     float lr = 4e-3f;
-    bool useAdam = true;
     /** Seed of the bigram data stream (independent of model init). */
     std::uint64_t dataSeed = 7;
     /**
@@ -163,17 +163,6 @@ struct RuntimeOptions
      *  the fetch-miss recompute fallback (combine with offloadSync
      *  for an exact miss count). */
     bool offloadForceMiss = false;
-    /** Device-order ops of prefetch lookahead for the host stager. */
-    int offloadLookahead = 2;
-    /**
-     * Test hook: worker index to kill (-1 = disabled). The worker
-     * throws after executing injectFailAfterOps forward/backward
-     * ops, exercising the shutdown path peers observe as
-     * ChannelClosedError.
-     */
-    int injectFailStage = -1;
-    /** Ops the killed worker completes before throwing. */
-    std::int64_t injectFailAfterOps = 0;
     /**
      * Global step of the run's first iteration (resume offset). The
      * data stream, the fault injector and the snapshot cadence are

@@ -50,14 +50,6 @@ struct StageMapping
      */
     bool overlap = false;
     /**
-     * Backward-engine workers per stage; pass to
-     * RuntimeOptions::intraStageThreads. Plans do not encode the
-     * knob (it never changes losses — the engine's reduction is
-     * bit-deterministic), so this stays at 1 unless the caller
-     * overrides it (pipeline_training --intra-stage-threads).
-     */
-    int intraStageThreads = 1;
-    /**
      * Human-readable notes about roundings applied (block split
      * across a layer boundary, per-unit mask collapsed, fallback
      * recompute used). Empty when the plan mapped exactly.

@@ -372,40 +372,34 @@ loadSnapshotFile(const std::string &path)
 TrainingSnapshot
 captureTrainingSnapshot(const TinyLM &model,
                         const std::vector<const Adam *> &optimizers,
-                        std::int64_t step, std::uint64_t data_seed,
-                        bool use_adam)
+                        std::int64_t step, std::uint64_t data_seed)
 {
     TrainingSnapshot snap;
     snap.config = model.config();
     snap.step = step;
     snap.dataSeed = data_seed;
-    snap.optimizer = use_adam ? "adam" : "sgd";
 
     const std::vector<Variable> params = model.params();
     snap.params.reserve(params.size());
-    for (const Variable &p : params)
+    snap.adamM.reserve(params.size());
+    snap.adamV.reserve(params.size());
+    for (const Variable &p : params) {
         snap.params.push_back(p.value());
-    if (use_adam) {
-        snap.adamM.reserve(params.size());
-        snap.adamV.reserve(params.size());
-        for (const Variable &p : params) {
-            snap.adamM.emplace_back(p.value().shape());
-            snap.adamV.emplace_back(p.value().shape());
-        }
-        const auto index = canonicalIndex(params);
-        for (const Adam *adam : optimizers) {
-            if (adam == nullptr)
-                continue;
-            snap.adamT = std::max(snap.adamT, adam->stepCount());
-            const std::vector<Variable> &owned = adam->params();
-            for (std::size_t i = 0; i < owned.size(); ++i) {
-                const auto it =
-                    index.find(owned[i].impl().get());
-                ADAPIPE_ASSERT(it != index.end(),
-                               "optimizer parameter not in model");
-                snap.adamM[it->second] = adam->moment1(i);
-                snap.adamV[it->second] = adam->moment2(i);
-            }
+        snap.adamM.emplace_back(p.value().shape());
+        snap.adamV.emplace_back(p.value().shape());
+    }
+    const auto index = canonicalIndex(params);
+    for (const Adam *adam : optimizers) {
+        if (adam == nullptr)
+            continue;
+        snap.adamT = std::max(snap.adamT, adam->stepCount());
+        const std::vector<Variable> &owned = adam->params();
+        for (std::size_t i = 0; i < owned.size(); ++i) {
+            const auto it = index.find(owned[i].impl().get());
+            ADAPIPE_ASSERT(it != index.end(),
+                           "optimizer parameter not in model");
+            snap.adamM[it->second] = adam->moment1(i);
+            snap.adamV[it->second] = adam->moment2(i);
         }
     }
     return snap;

@@ -100,13 +100,11 @@ loadSnapshotFile(const std::string &path);
  *        parameters owned by no optimizer stay zero
  * @param step completed optimizer steps
  * @param data_seed data-stream seed
- * @param use_adam whether the run trains with Adam
  */
 TrainingSnapshot
 captureTrainingSnapshot(const TinyLM &model,
                         const std::vector<const Adam *> &optimizers,
-                        std::int64_t step, std::uint64_t data_seed,
-                        bool use_adam);
+                        std::int64_t step, std::uint64_t data_seed);
 
 /**
  * Copy the snapshot's parameter values into @p model. Fails (without

@@ -85,15 +85,6 @@ build1F1B(int p, int n)
     return sched;
 }
 
-Schedule
-buildInterleaved1F1B(int p, int n, int v)
-{
-    ParseResult<Schedule> r = tryBuildInterleaved1F1B(p, n, v);
-    if (!r.ok())
-        ADAPIPE_FATAL(r.error());
-    return std::move(r).value();
-}
-
 ParseResult<Schedule>
 tryBuildInterleaved1F1B(int p, int n, int v)
 {

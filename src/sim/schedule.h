@@ -100,23 +100,14 @@ Schedule build1F1B(int p, int n);
  * Requires n % p == 0 when v > 1 (Megatron's constraint). With
  * v = 1 this is plain 1F1B.
  *
+ * Invalid configurations (p, n or v < 1; n not divisible by p when
+ * v > 1) come back as errors naming the offending field (pipeline /
+ * micro_batches / virtual_stages) instead of aborting, so CLIs and
+ * the planner can exit cleanly.
+ *
  * @param p pipeline-parallel size (devices)
  * @param n micro-batches
  * @param v virtual chunks per device
- *
- * This overload terminates the process (exit 1, with the same
- * diagnostic tryBuildInterleaved1F1B reports) on an invalid
- * configuration; callers with user-reachable inputs should use the
- * recoverable variant below.
- */
-Schedule buildInterleaved1F1B(int p, int n, int v);
-
-/**
- * Recoverable variant of buildInterleaved1F1B: invalid configurations
- * (p, n or v < 1; n not divisible by p when v > 1) come back as
- * errors naming the offending field (pipeline / micro_batches /
- * virtual_stages) instead of aborting, so CLIs and the planner can
- * exit cleanly.
  */
 ParseResult<Schedule> tryBuildInterleaved1F1B(int p, int n, int v);
 

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "autograd/checkpoint.h"
 #include "autograd/module.h"
 #include "autograd/ops.h"
 #include "autograd/optim.h"
 #include "autograd/variable.h"
+#include "obs/macros.h"
+#include "obs/registry.h"
 #include "util/rng.h"
 
 namespace adapipe {
@@ -260,19 +264,169 @@ TEST(Checkpoint, ReducesPeakActivationMemory)
     EXPECT_LT(saved, plain);
 }
 
-TEST(Optim, SgdDescendsQuadratic)
+/** One gelu(x·w) segment over fixed random inputs. */
+struct SegmentCase
 {
-    // Minimise ||x||^2 with SGD; converges to 0.
-    Variable x(Tensor::full({4}, 2.0f), true);
-    Sgd sgd({x}, 0.1f);
-    for (int step = 0; step < 100; ++step) {
-        sgd.zeroGrad();
-        Variable loss = ops::mul(x, x);
-        loss.backward();
-        sgd.step();
+    Tensor wInit;
+    Tensor xInit;
+
+    SegmentCase()
+    {
+        Rng rng(9);
+        wInit = Tensor::randn({8, 8}, rng, 0.3f);
+        xInit = Tensor::randn({4, 8}, rng);
     }
-    for (std::int64_t i = 0; i < x.value().numel(); ++i)
-        EXPECT_NEAR(x.value()[i], 0.0f, 1e-3f);
+
+    /**
+     * (w, x) gradients of gelu(segment(x)). @p wrap runs the segment
+     * (plainly, checkpoint() or checkpointResident()); @p act gets
+     * the collected handles before backward.
+     */
+    template <typename Wrap, typename Act>
+    std::pair<Tensor, Tensor>
+    grads(Wrap wrap, Act act) const
+    {
+        Variable w(wInit, true);
+        Variable x(xInit, true);
+        w.zeroGrad();
+        x.zeroGrad();
+        const Segment segment = [&w](const Variable &in) {
+            return ops::gelu(ops::matmul(in, w));
+        };
+        CheckpointCollector collector;
+        Variable out = ops::gelu(wrap(segment, x, w));
+        std::vector<CheckpointHandle> handles = collector.take();
+        act(handles);
+        out.backward();
+        return {w.grad(), x.grad()};
+    }
+
+    std::pair<Tensor, Tensor>
+    plainGrads() const
+    {
+        return grads([](const Segment &seg, const Variable &x,
+                        const Variable &) { return seg(x); },
+                     [](std::vector<CheckpointHandle> &handles) {
+                         EXPECT_TRUE(handles.empty());
+                     });
+    }
+};
+
+Variable
+recomputed(const Segment &seg, const Variable &x, const Variable &w)
+{
+    return checkpoint(seg, x, {w});
+}
+
+Variable
+resident(const Segment &seg, const Variable &x, const Variable &w)
+{
+    return checkpointResident(seg, x, {w});
+}
+
+void
+expectSameGrads(const std::pair<Tensor, Tensor> &got,
+                const std::pair<Tensor, Tensor> &want)
+{
+    EXPECT_EQ(got.first.data(), want.first.data()) << "w grad";
+    EXPECT_EQ(got.second.data(), want.second.data()) << "x grad";
+}
+
+TEST(CheckpointHandle, CollectorReturnsOneHandlePerCheckpointInOrder)
+{
+    Rng rng(10);
+    Variable w(Tensor::randn({4, 4}, rng, 0.3f), true);
+    Variable h(Tensor::randn({2, 4}, rng), true);
+    // Each segment logs its id whenever it runs, so warming a handle
+    // shows which checkpoint it belongs to.
+    std::vector<int> ran;
+    const auto segment = [&](int id) -> Segment {
+        return [&, id](const Variable &in) {
+            ran.push_back(id);
+            return ops::gelu(ops::matmul(in, w));
+        };
+    };
+    CheckpointCollector collector;
+    h = checkpoint(segment(0), h, {w});
+    h = checkpointResident(segment(1), h, {w});
+    h = checkpoint(segment(2), h, {w});
+    {
+        // A constant result can never replay: no handle.
+        NoGradGuard no_grad;
+        checkpoint(segment(3), h.detach(false), {});
+    }
+    std::vector<CheckpointHandle> handles = collector.take();
+    ASSERT_EQ(handles.size(), 3u);
+    EXPECT_FALSE(handles[0].offloadable());
+    EXPECT_TRUE(handles[1].offloadable());
+    EXPECT_FALSE(handles[2].offloadable());
+    EXPECT_TRUE(collector.take().empty());
+
+    ran.clear();
+    EXPECT_TRUE(handles[2].warm());
+    EXPECT_TRUE(handles[0].warm());
+    EXPECT_EQ(ran, (std::vector<int>{2, 0}));
+}
+
+TEST(CheckpointHandle, WarmRunsTheReplayOnceAndKeepsGradients)
+{
+    const SegmentCase c;
+    const auto warm_twice = [](std::vector<CheckpointHandle> &hs) {
+        ASSERT_EQ(hs.size(), 1u);
+        EXPECT_TRUE(hs[0].warm());
+        EXPECT_FALSE(hs[0].warm());
+    };
+    expectSameGrads(c.grads(recomputed, warm_twice), c.plainGrads());
+
+    const auto warm_resident = [](std::vector<CheckpointHandle> &hs) {
+        ASSERT_EQ(hs.size(), 1u);
+        EXPECT_FALSE(hs[0].warm());
+    };
+    c.grads(resident, warm_resident);
+}
+
+TEST(CheckpointHandle, RecomputeHandleMovesNoBytes)
+{
+    const SegmentCase c;
+    const auto transfer = [](std::vector<CheckpointHandle> &hs) {
+        ASSERT_EQ(hs.size(), 1u);
+        EXPECT_EQ(hs[0].evict(), 0u);
+        EXPECT_EQ(hs[0].fetch(), 0u);
+    };
+    c.grads(recomputed, transfer);
+}
+
+TEST(CheckpointHandle, EvictFetchBackwardIsBitExact)
+{
+    const SegmentCase c;
+    const auto round_trip = [](std::vector<CheckpointHandle> &hs) {
+        ASSERT_EQ(hs.size(), 1u);
+        const std::size_t bytes = hs[0].evict();
+        EXPECT_GT(bytes, 0u);
+        EXPECT_EQ(hs[0].evict(), 0u);
+        EXPECT_EQ(hs[0].fetch(), bytes);
+        EXPECT_EQ(hs[0].fetch(), 0u);
+    };
+    expectSameGrads(c.grads(resident, round_trip), c.plainGrads());
+}
+
+TEST(CheckpointHandle, EvictedBackwardFallsBackToReplay)
+{
+    const SegmentCase c;
+    const auto evict_only = [](std::vector<CheckpointHandle> &hs) {
+        ASSERT_EQ(hs.size(), 1u);
+        EXPECT_GT(hs[0].evict(), 0u);
+    };
+    obs::Registry metrics;
+    std::pair<Tensor, Tensor> missed;
+    {
+        obs::ScopedRegistry scope(&metrics);
+        missed = c.grads(resident, evict_only);
+    }
+    expectSameGrads(missed, c.plainGrads());
+#if ADAPIPE_OBS_ENABLED
+    EXPECT_EQ(metrics.counter("offload.fetch_miss"), 1);
+#endif
 }
 
 TEST(Optim, AdamDescendsQuadratic)

@@ -9,11 +9,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <utility>
 #include <vector>
 
+#include "core/plan_io.h"
+#include "core/profiled_model.h"
+#include "hw/cluster.h"
+#include "runtime/plan_mapping.h"
+#include "sim/interleaved_planner.h"
 #include "util/cli.h"
 
 namespace adapipe {
@@ -447,6 +453,61 @@ TEST(CliProcess, PipelineTrainingRejectsMismatchedResumeSeed)
     EXPECT_NE(r.output.find("data-seed"), std::string::npos)
         << r.output;
     std::remove(snap.c_str());
+}
+
+TEST(CliProcess, PipelineTrainingLabelsHostStagedBlocks)
+{
+    // A tight memory cap with offload on makes the tri-choice plan
+    // stage blocks to host. Those blocks carry the recompute mode
+    // None, so the stage table must read the offload flag too.
+    TinyLmConfig cfg;
+    cfg.vocab = 64;
+    cfg.dim = 64;
+    cfg.blocks = 8;
+    cfg.ffnHidden = 128;
+    cfg.maxSeq = 32;
+    TrainConfig train;
+    train.seqLen = cfg.maxSeq;
+    train.microBatch = 1;
+    train.globalBatch = 8;
+    ParallelConfig par;
+    par.tensor = 1;
+    par.pipeline = 4;
+    par.data = 1;
+    StageCostOptions opts;
+    opts.memCapacityOverride = 2 * 1024 * 1024;
+    opts.offload.enabled = true;
+    opts.offload.bandwidth = 6e9;
+    const PlanResult planned = makeInterleavedPlan(
+        buildProfiledModel(tinyLmModelConfig(cfg), train, par,
+                           clusterA(1)),
+        PlanMethod::AdaPipe, 1, opts);
+    ASSERT_TRUE(planned.ok) << planned.oomReason;
+    bool offloads = false;
+    for (const StagePlan &stage : planned.plan.stages) {
+        for (const bool off : stage.offloadMask)
+            offloads = offloads || off;
+    }
+    ASSERT_TRUE(offloads) << "the plan should stage a unit to host";
+
+    const std::string path = writeTempFile(
+        "cli_test_offload_plan.json",
+        planToJsonString(planned.plan));
+    const RunResult r = runCommand(
+        std::string(ADAPIPE_PIPELINE_TRAINING_BIN) + " --plan " +
+        path +
+        " --blocks 8 --dim 64 --ffn-hidden 128 --vocab 64 --seq 32"
+        " --steps 1");
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    // Only table rows count: the mapping notes mention offload too.
+    bool labelled = false;
+    std::istringstream lines(r.output);
+    for (std::string line; std::getline(lines, line);) {
+        labelled = labelled || (line.rfind("| ", 0) == 0 &&
+                                line.find("offload") !=
+                                    std::string::npos);
+    }
+    EXPECT_TRUE(labelled) << r.output;
 }
 
 #endif // ADAPIPE_PIPELINE_TRAINING_BIN

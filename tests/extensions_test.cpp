@@ -27,7 +27,7 @@ namespace {
 
 TEST(Interleaved, VEqualsOneIsPlain1F1B)
 {
-    const Schedule s = buildInterleaved1F1B(4, 8, 1);
+    const Schedule s = tryBuildInterleaved1F1B(4, 8, 1).value();
     EXPECT_EQ(s.name, "1F1B");
 }
 
@@ -36,7 +36,7 @@ TEST(Interleaved, OpCountsAndPositions)
     const int p = 4;
     const int n = 8;
     const int v = 2;
-    const Schedule s = buildInterleaved1F1B(p, n, v);
+    const Schedule s = tryBuildInterleaved1F1B(p, n, v).value();
     EXPECT_EQ(s.chainLength, v * p);
     EXPECT_EQ(s.ops.size(), static_cast<std::size_t>(2 * n * v * p));
     for (const PipeOp &op : s.ops)
@@ -59,8 +59,8 @@ TEST_P(InterleavedBubble, BubbleShrinksByV)
     // stage.
     const std::vector<StageTimes> stages(
         v * p, StageTimes{1.0 / v, 2.0 / v});
-    const SimResult r =
-        simulate(buildInterleaved1F1B(p, n, v), stages, {});
+    const SimResult r = simulate(
+        tryBuildInterleaved1F1B(p, n, v).value(), stages, {});
     // 1F1B idle time per device over the whole iteration is
     // (p - 1)(F + B); interleaving divides it by v.
     const double expected = (p - 1) * 3.0 / v;
@@ -81,8 +81,8 @@ TEST(Interleaved, MoreChunksMeansMoreInflightActivations)
     for (int v : {1, 2, 4}) {
         const std::vector<StageTimes> stages(
             v * p, StageTimes{1.0 / v, 2.0 / v});
-        const SimResult r =
-            simulate(buildInterleaved1F1B(p, n, v), stages, {});
+        const SimResult r = simulate(
+            tryBuildInterleaved1F1B(p, n, v).value(), stages, {});
         EXPECT_GT(r.peakAlive[0], prev);
         prev = r.peakAlive[0];
     }
@@ -269,7 +269,8 @@ TEST_F(InterleavedPlannerTest, ChunkPeaksMatchMemoryModelForV1)
 
 TEST_F(InterleavedPlannerTest, ChunkPeaksDropTowardTheChainTail)
 {
-    const auto peaks = chunkInflightPeaks(buildInterleaved1F1B(4, 8, 2));
+    const auto peaks =
+        chunkInflightPeaks(tryBuildInterleaved1F1B(4, 8, 2).value());
     ASSERT_EQ(peaks.size(), 8u);
     // The chain head holds the most in-flight micro-batches, the
     // tail the fewest — same shape as 1F1B, spread over v * p

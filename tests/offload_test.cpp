@@ -27,78 +27,26 @@
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
 
+#include "runtime_fixtures.h"
+
 namespace adapipe {
 namespace {
-
-TinyLmConfig
-smallConfig()
-{
-    TinyLmConfig cfg;
-    cfg.vocab = 32;
-    cfg.dim = 24;
-    cfg.blocks = 6;
-    cfg.ffnHidden = 48;
-    cfg.maxSeq = 32;
-    cfg.seed = 42;
-    return cfg;
-}
-
-RuntimeOptions
-smallOpts()
-{
-    RuntimeOptions opts;
-    opts.steps = 2;
-    opts.seqLen = 12;
-    opts.microBatches = 4;
-    opts.lr = 4e-3f;
-    opts.dataSeed = 7;
-    return opts;
-}
-
-/** Mark every other block for host offload. */
-std::vector<StageSpec>
-withAlternatingOffload(std::vector<StageSpec> specs)
-{
-    int b = 0;
-    for (StageSpec &spec : specs) {
-        spec.offload.clear();
-        for (int i = 0; i < spec.numBlocks(); ++i)
-            spec.offload.push_back(b++ % 2 == 0);
-    }
-    return specs;
-}
-
-/** Single-threaded reference over the identical data stream. An
- *  offloaded block contributes its spec'd recompute mode: host
- *  staging never changes the math, only where bytes live. */
-std::vector<double>
-referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
-                const std::vector<StageSpec> &specs)
-{
-    TinyLM model(cfg);
-    TrainOptions ref;
-    ref.steps = opts.steps;
-    ref.seqLen = opts.seqLen;
-    ref.lr = opts.lr;
-    ref.useAdam = opts.useAdam;
-    ref.dataSeed = opts.dataSeed;
-    ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : specs)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
-    return trainTinyLM(model, ref).losses;
-}
 
 // Offloaded activations round-trip device -> host -> device as raw
 // float bytes and the fallback replays from the kept boundary input,
 // so the loss stream must be bit-identical to the plain trainer at
-// every (p, v, threads, sync) corner — with offload on or off.
+// every (mode, p, v, threads, sync, overlap) corner. Losses alone
+// cannot catch a misrouted checkpoint handle (its calls would just do
+// nothing), so the sync corners also count the evictions: with
+// overlap on, one collector hands out both handle kinds and must
+// still send every offloaded segment to the stager.
 TEST(OffloadBitExactness, SweepMatchesReferenceAtEveryCorner)
 {
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions base = smallOpts();
+    const RuntimeOptions base = smallOpts(2);
+    const std::int64_t offloaded_blocks = (cfg.blocks + 1) / 2;
     const BlockRecompute modes[] = {BlockRecompute::None,
+                                    BlockRecompute::AttentionOnly,
                                     BlockRecompute::Full};
     for (const BlockRecompute mode : modes) {
         const std::vector<double> ref = referenceLosses(
@@ -114,19 +62,39 @@ TEST(OffloadBitExactness, SweepMatchesReferenceAtEveryCorner)
                     evenStageSpecs(cfg.blocks, v * p, mode));
                 for (const int threads : {1, 4}) {
                     for (const bool sync : {false, true}) {
-                        RuntimeOptions opts = base;
-                        opts.virtualStages = v;
-                        opts.intraStageThreads = threads;
-                        opts.offloadSync = sync;
-                        TinyLM model(cfg);
-                        const RuntimeResult run =
-                            runPipeline(model, specs, opts);
-                        ASSERT_TRUE(run.ok) << run.error;
-                        EXPECT_EQ(run.losses, ref)
-                            << "mode=" << static_cast<int>(mode)
-                            << " p=" << p << " v=" << v
-                            << " threads=" << threads
-                            << " sync=" << sync;
+                        for (const bool overlap : {false, true}) {
+                            RuntimeOptions opts = base;
+                            opts.virtualStages = v;
+                            opts.intraStageThreads = threads;
+                            opts.offloadSync = sync;
+                            opts.overlapReplay = overlap;
+                            TinyLM model(cfg);
+                            const RuntimeResult run =
+                                runPipeline(model, specs, opts);
+                            const std::string corner =
+                                "mode=" +
+                                std::to_string(static_cast<int>(mode)) +
+                                " p=" + std::to_string(p) +
+                                " v=" + std::to_string(v) +
+                                " threads=" + std::to_string(threads) +
+                                " sync=" + std::to_string(sync) +
+                                " overlap=" + std::to_string(overlap);
+                            ASSERT_TRUE(run.ok) << corner << ": "
+                                                << run.error;
+                            EXPECT_EQ(run.losses, ref) << corner;
+                            // An async eviction may lose the race
+                            // against a fast backward.
+                            if (!sync)
+                                continue;
+                            std::int64_t evictions = 0;
+                            for (const StageMetrics &sm : run.stages)
+                                evictions += sm.offloadEvictions;
+                            EXPECT_EQ(evictions,
+                                      offloaded_blocks *
+                                          opts.microBatches *
+                                          opts.steps)
+                                << corner;
+                        }
                     }
                 }
             }
@@ -140,7 +108,7 @@ TEST(OffloadFallback, ForcedFetchMissesRecomputeBitIdentically)
     // each backward must then take the recompute fallback from the
     // kept boundary input — same losses, and the misses are counted.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.offloadSync = true;
     opts.offloadForceMiss = true;
     const auto specs = withAlternatingOffload(
@@ -173,7 +141,7 @@ TEST(OffloadFallback, ForcedFetchMissesRecomputeBitIdentically)
 TEST(OffloadCounters, TransfersAreCountedAndMemoryDrops)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.offloadSync = true; // deterministic transfer counts
 
     const auto plain =
@@ -396,7 +364,7 @@ TEST(OffloadPlanMapping, MaskDecodesAndRuntimeExecutesIt)
             std::string::npos;
     EXPECT_TRUE(partial_note) << "partial offload note missing";
 
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.offloadSync = true;
     const std::vector<double> ref =
         referenceLosses(cfg, opts, mapping.stages);

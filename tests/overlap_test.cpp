@@ -27,53 +27,10 @@
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
 
+#include "runtime_fixtures.h"
+
 namespace adapipe {
 namespace {
-
-TinyLmConfig
-smallConfig()
-{
-    TinyLmConfig cfg;
-    cfg.vocab = 32;
-    cfg.dim = 24;
-    cfg.blocks = 6;
-    cfg.ffnHidden = 48;
-    cfg.maxSeq = 32;
-    cfg.seed = 42;
-    return cfg;
-}
-
-RuntimeOptions
-smallOpts()
-{
-    RuntimeOptions opts;
-    opts.steps = 2;
-    opts.seqLen = 12;
-    opts.microBatches = 4;
-    opts.lr = 4e-3f;
-    opts.dataSeed = 7;
-    return opts;
-}
-
-/** Single-threaded reference over the identical data stream. */
-std::vector<double>
-referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
-                const std::vector<StageSpec> &specs)
-{
-    TinyLM model(cfg);
-    TrainOptions ref;
-    ref.steps = opts.steps;
-    ref.seqLen = opts.seqLen;
-    ref.lr = opts.lr;
-    ref.useAdam = opts.useAdam;
-    ref.dataSeed = opts.dataSeed;
-    ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : specs)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
-    return trainTinyLM(model, ref).losses;
-}
 
 // Eager replay recomputes from the same saved boundary input with the
 // same parameters as lazy replay, so the loss stream must be
@@ -82,7 +39,7 @@ referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
 TEST(OverlapBitExactness, SweepMatchesReferenceAtEveryCorner)
 {
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions base = smallOpts();
+    const RuntimeOptions base = smallOpts(2);
     const BlockRecompute modes[] = {BlockRecompute::None,
                                     BlockRecompute::AttentionOnly,
                                     BlockRecompute::Full};
@@ -127,7 +84,7 @@ TEST(OverlapDeterminism, DrainAllFiringOrderIsReproducible)
     // two identical runs must log identical (pos, microBatch, unit)
     // sequences per worker.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.virtualStages = 2;
     opts.overlapReplay = true;
     opts.overlapDrainAll = true;
@@ -165,7 +122,7 @@ TEST(OverlapAccounting, BackwardAndReplayAreDisjoint)
     // replay must be reported disjointly, and the hidden share can
     // never exceed the total replay time.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.overlapReplay = true;
     const auto specs =
         evenStageSpecs(cfg.blocks, 2, BlockRecompute::Full);
@@ -215,7 +172,7 @@ TEST(OverlapAccounting, BackwardAndReplayAreDisjoint)
 TEST(OverlapAccounting, LazyRunsReportNoHiddenReplay)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(2);
     opts.overlapReplay = false;
     const auto specs =
         evenStageSpecs(cfg.blocks, 2, BlockRecompute::Full);
@@ -248,7 +205,7 @@ TEST(OverlapAccounting, WatchdogDoesNotSkewWaitTimes)
     double recv_wait[2] = {0, 0};
     std::vector<double> losses[2];
     for (const bool watchdog : {false, true}) {
-        RuntimeOptions opts = smallOpts();
+        RuntimeOptions opts = smallOpts(2);
         opts.faults = &faults;
         opts.watchdog.enabled = watchdog;
         opts.watchdog.stallTimeoutUs = 60e6; // never trips here

@@ -532,7 +532,7 @@ validSnapshotBytes()
     cfg.seed = 1;
     const TinyLM model(cfg);
     return snapshotToBytes(captureTrainingSnapshot(
-        model, {}, /*step=*/3, /*data_seed=*/7, /*use_adam=*/true));
+        model, {}, /*step=*/3, /*data_seed=*/7));
 }
 
 /** Split a snapshot image into (pre-header, header, blob). */

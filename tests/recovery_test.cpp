@@ -32,53 +32,10 @@
 #include "runtime/snapshot.h"
 #include "util/file_io.h"
 
+#include "runtime_fixtures.h"
+
 namespace adapipe {
 namespace {
-
-TinyLmConfig
-smallConfig()
-{
-    TinyLmConfig cfg;
-    cfg.vocab = 32;
-    cfg.dim = 24;
-    cfg.blocks = 6;
-    cfg.ffnHidden = 48;
-    cfg.maxSeq = 32;
-    cfg.seed = 42;
-    return cfg;
-}
-
-RuntimeOptions
-smallOpts()
-{
-    RuntimeOptions opts;
-    opts.steps = 3;
-    opts.seqLen = 12;
-    opts.microBatches = 4;
-    opts.lr = 4e-3f;
-    opts.dataSeed = 7;
-    return opts;
-}
-
-/** Single-threaded reference over the identical data stream. */
-std::vector<double>
-referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
-                const std::vector<StageSpec> &specs)
-{
-    TinyLM model(cfg);
-    TrainOptions ref;
-    ref.steps = opts.steps;
-    ref.seqLen = opts.seqLen;
-    ref.lr = opts.lr;
-    ref.useAdam = opts.useAdam;
-    ref.dataSeed = opts.dataSeed;
-    ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : specs)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
-    return trainTinyLM(model, ref).losses;
-}
 
 /** Fresh per-test file path under the gtest temp dir. */
 std::string
@@ -198,7 +155,7 @@ TEST(RuntimeFaultSpec, JsonRoundTrip)
 TEST(FaultInjection, ThrowCrashKillsTheNamedWorker)
 {
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions base = smallOpts();
+    const RuntimeOptions base = smallOpts(3);
     RuntimeFaultSpec faults;
     faults.crash.worker = 1;
     faults.crash.step = 1;
@@ -230,7 +187,7 @@ TEST(FaultInjection, ThrowCrashKillsTheNamedWorker)
 TEST(FaultInjection, DeterministicAcrossThreadsAndChunks)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions base = smallOpts();
+    RuntimeOptions base = smallOpts(3);
     base.steps = 2;
     RuntimeFaultSpec faults;
     faults.seed = 11;
@@ -276,7 +233,7 @@ TEST(Watchdog, DetectsASilentlyHungWorker)
     faults.crash.step = 1;
     faults.crash.afterOps = 1;
     faults.crash.hang = true;
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.faults = &faults;
     opts.watchdog.enabled = true;
     opts.watchdog.stallTimeoutUs = 2e5;
@@ -303,7 +260,7 @@ TEST(Watchdog, HangCrashWithoutWatchdogIsRefused)
     faults.crash.worker = 0;
     faults.crash.step = 0;
     faults.crash.hang = true;
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.faults = &faults;
     const auto specs =
         evenStageSpecs(cfg.blocks, 2, BlockRecompute::None);
@@ -319,7 +276,7 @@ TEST(Snapshot, BytesRoundTripBitExact)
 {
     const TinyLmConfig cfg = smallConfig();
     const std::string path = tmpPath("snap_roundtrip.bin");
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.snapshot.every = opts.steps;
     opts.snapshot.path = path;
     const auto specs =
@@ -372,7 +329,7 @@ TEST(Snapshot, BytesRoundTripBitExact)
 TEST(Snapshot, RestoreResumesBitExact)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions full_opts = smallOpts();
+    RuntimeOptions full_opts = smallOpts(3);
     full_opts.steps = 6;
 
     const BlockRecompute modes[] = {BlockRecompute::None,
@@ -431,8 +388,8 @@ TEST(Snapshot, RestoreRejectsMismatchedConfig)
 {
     TinyLmConfig cfg = smallConfig();
     TinyLM model(cfg);
-    const TrainingSnapshot snap = captureTrainingSnapshot(
-        model, {}, 0, 7, /*use_adam=*/false);
+    const TrainingSnapshot snap =
+        captureTrainingSnapshot(model, {}, 0, 7);
     TinyLmConfig other = cfg;
     other.dim = 32;
     TinyLM wrong(other);
@@ -454,7 +411,7 @@ TEST(Recovery, CrashReplanResumeBitExact)
     const int p = 4;
     const auto specs =
         evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 6;
     const auto ref = referenceLosses(cfg, opts, specs);
 
@@ -529,7 +486,7 @@ TEST(Recovery, CrashBeforeFirstSnapshotRestartsFresh)
     const int p = 3;
     const auto specs =
         evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 4;
     const auto ref = referenceLosses(cfg, opts, specs);
 
@@ -568,7 +525,7 @@ TEST(Recovery, CorruptSnapshotIsAHardStop)
     const int p = 2;
     const auto specs =
         evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 4;
     RuntimeFaultSpec faults;
     faults.crash.worker = 0;

@@ -132,7 +132,6 @@ TEST(RuntimeEdge, BlocklessStageRunsBitIdenticalToReference)
     ref.steps = opts.steps;
     ref.seqLen = opts.seqLen;
     ref.lr = opts.lr;
-    ref.useAdam = opts.useAdam;
     ref.dataSeed = opts.dataSeed;
     ref.microBatches = opts.microBatches;
     for (const StageSpec &spec : mapping.stages)

@@ -23,53 +23,10 @@
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
 
+#include "runtime_fixtures.h"
+
 namespace adapipe {
 namespace {
-
-TinyLmConfig
-smallConfig()
-{
-    TinyLmConfig cfg;
-    cfg.vocab = 32;
-    cfg.dim = 24;
-    cfg.blocks = 6;
-    cfg.ffnHidden = 48;
-    cfg.maxSeq = 32;
-    cfg.seed = 42;
-    return cfg;
-}
-
-RuntimeOptions
-smallOpts()
-{
-    RuntimeOptions opts;
-    opts.steps = 3;
-    opts.seqLen = 12;
-    opts.microBatches = 4;
-    opts.lr = 4e-3f;
-    opts.dataSeed = 7;
-    return opts;
-}
-
-/** Single-threaded reference over the identical data stream. */
-std::vector<double>
-referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
-                const std::vector<StageSpec> &specs)
-{
-    TinyLM model(cfg);
-    TrainOptions ref;
-    ref.steps = opts.steps;
-    ref.seqLen = opts.seqLen;
-    ref.lr = opts.lr;
-    ref.useAdam = opts.useAdam;
-    ref.dataSeed = opts.dataSeed;
-    ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : specs)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
-    return trainTinyLM(model, ref).losses;
-}
 
 TEST(BoundedChannel, FifoOrder)
 {
@@ -192,7 +149,7 @@ TEST(EvenStageSpecs, SplitsBlocksContiguously)
 TEST(PipelineRuntime, MatchesSingleThreadedTrainer)
 {
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts();
+    const RuntimeOptions opts = smallOpts(3);
     const BlockRecompute modes[] = {BlockRecompute::None,
                                     BlockRecompute::AttentionOnly,
                                     BlockRecompute::Full};
@@ -218,7 +175,7 @@ TEST(PipelineRuntime, TrajectoryIdenticalAcrossStageCounts)
     // Same seed, same data stream: partitioning the model over more
     // threads must not change a single float of the training run.
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts();
+    const RuntimeOptions opts = smallOpts(3);
     std::vector<std::vector<double>> all;
     for (const int p : {2, 3, 4}) {
         const auto specs =
@@ -233,7 +190,7 @@ TEST(PipelineRuntime, TrajectoryIdenticalAcrossStageCounts)
 TEST(PipelineRuntime, CapacityOneChannelsDoNotDeadlock)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 2;
     opts.channelCapacity = 1;
     const auto specs =
@@ -269,7 +226,7 @@ TEST(PipelineRuntime, FirstStagePeaksAboveLast)
     // fewest. The runtime measures per-thread, so the ordering of
     // the memory model must show up in the measurements.
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts();
+    const RuntimeOptions opts = smallOpts(3);
     for (const int p : {2, 4}) {
         ASSERT_GT(
             MemoryModel::inflightMicroBatches(0, p,
@@ -294,7 +251,7 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
     // the memory ordering is exact; the time ordering is asserted
     // through the checkpoint replay counters/spans below.
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts();
+    const RuntimeOptions opts = smallOpts(3);
 
     struct Run
     {
@@ -346,7 +303,7 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
 TEST(PipelineRuntime, MergedRegistryCountsEveryOp)
 {
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts();
+    const RuntimeOptions opts = smallOpts(3);
     const int p = 3;
     const auto specs =
         evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
@@ -455,7 +412,7 @@ TEST(PlanMapping, AdaPipePlanCoversAllBlocksAndRuns)
         stageSpecsFromPlan(result.plan, cfg);
     ASSERT_EQ(mapping.stages.size(), 2u);
 
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 2;
     TinyLM model(cfg);
     const RuntimeResult run =
@@ -491,7 +448,7 @@ TEST(PipelineRuntime, InterleavedMatchesSingleThreadedTrainer)
 {
     TinyLmConfig cfg = smallConfig();
     cfg.blocks = 8; // one block per chunk up to p=2, v=4
-    const RuntimeOptions base = smallOpts();
+    const RuntimeOptions base = smallOpts(3);
     const BlockRecompute modes[] = {BlockRecompute::None,
                                     BlockRecompute::AttentionOnly,
                                     BlockRecompute::Full};
@@ -525,20 +482,20 @@ TEST(PipelineRuntime, InterleavedSingleWorkerSelfEdges)
     // own second chunk over a self-edge; the capacity clamp must
     // keep this from deadlocking, and the result stays bit-exact.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.virtualStages = 2;
     const auto specs =
         evenStageSpecs(cfg.blocks, 2, BlockRecompute::None);
     TinyLM model(cfg);
     const RuntimeResult run = runPipeline(model, specs, opts);
     ASSERT_TRUE(run.ok) << run.error;
-    EXPECT_EQ(run.losses, referenceLosses(cfg, smallOpts(), specs));
+    EXPECT_EQ(run.losses, referenceLosses(cfg, smallOpts(3), specs));
 }
 
 TEST(PipelineRuntime, InterleavedPerChunkMetricsAndGauges)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.virtualStages = 2;
     const int p = 2;
     const auto specs = evenStageSpecs(
@@ -589,9 +546,11 @@ TEST(PipelineRuntime, KilledWorkerTerminatesWithDiagnostic)
     // Now the failure closes every channel and the run returns an
     // error naming the worker.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
-    opts.injectFailStage = 1;
-    opts.injectFailAfterOps = 3;
+    RuntimeOptions opts = smallOpts(3);
+    RuntimeFaultSpec faults;
+    faults.crash.worker = 1;
+    faults.crash.afterOps = 3;
+    opts.faults = &faults;
     const auto specs =
         evenStageSpecs(cfg.blocks, 3, BlockRecompute::None);
     TinyLM model(cfg);
@@ -599,17 +558,19 @@ TEST(PipelineRuntime, KilledWorkerTerminatesWithDiagnostic)
     EXPECT_FALSE(run.ok);
     EXPECT_NE(run.error.find("worker 1"), std::string::npos)
         << run.error;
-    EXPECT_NE(run.error.find("injected failure"), std::string::npos)
+    EXPECT_NE(run.error.find("injected crash"), std::string::npos)
         << run.error;
 }
 
 TEST(PipelineRuntime, KilledInterleavedWorkerAlsoTerminates)
 {
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.virtualStages = 2;
-    opts.injectFailStage = 0;
-    opts.injectFailAfterOps = 2;
+    RuntimeFaultSpec faults;
+    faults.crash.worker = 0;
+    faults.crash.afterOps = 2;
+    opts.faults = &faults;
     const auto specs =
         evenStageSpecs(cfg.blocks, 4, BlockRecompute::None);
     TinyLM model(cfg);
@@ -624,7 +585,7 @@ TEST(PipelineRuntime, InvalidInterleavedConfigFailsGracefully)
     // p = 3 does not divide micro_batches = 4: the runtime must
     // refuse with a diagnostic naming the fields, not abort.
     const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.virtualStages = 2;
     const auto specs =
         evenStageSpecs(cfg.blocks, 6, BlockRecompute::None);
@@ -662,7 +623,7 @@ TEST(PlanMapping, InterleavedPlanMapsAndRunsBitExact)
     EXPECT_EQ(mapping.virtualStages, 2);
     ASSERT_EQ(mapping.stages.size(), 4u);
 
-    RuntimeOptions opts = smallOpts();
+    RuntimeOptions opts = smallOpts(3);
     opts.steps = 2;
     opts.virtualStages = mapping.virtualStages;
     TinyLM model(cfg);
