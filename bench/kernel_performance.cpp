@@ -1,11 +1,16 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the matmul micro-kernel: every
- * SIMD width this host supports x the three products of a linear
- * layer (forward, dA = g . W^T, dB = x^T . g) at the training
- * workloads' shapes. Each row is named
- * BM_Gemm/<width>/<product>/<m>x<k>x<n> for the forward product
- * [m,k] x [k,n], and reports its rate in multiply-adds per second.
+ * google-benchmark microbenchmarks of the per-width kernels, at the
+ * training workloads' shapes, for every SIMD width this host
+ * supports:
+ *
+ * - the matmul micro-kernel x the three products of a linear layer
+ *   (forward, dA = g . W^T, dB = x^T . g), named
+ *   BM_Gemm/<width>/<product>/<m>x<k>x<n> for the forward product
+ *   [m,k] x [k,n], with its rate in multiply-adds per second;
+ * - GELU's value and slope over n elements, BM_Gelu/<width>/<n>, with
+ *   its rate in elements per second, next to BM_Gelu/libm/<n>, the
+ *   same formula one element at a time on libm's tanhf.
  *
  *   ./build/bench/kernel_performance --benchmark_out=BENCH_kernels.json
  *        --benchmark_out_format=json
@@ -13,8 +18,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstddef>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "autograd/gemm.h"
 #include "autograd/tensor.h"
@@ -72,8 +80,41 @@ BM_Gemm(benchmark::State &state, const GemmKernel *kernel,
         benchmark::Counter::kIsIterationInvariantRate);
 }
 
+/** GELU's value and slope at n normal(0, 3) inputs per iteration. */
 void
-registerGemmBenchmarks()
+BM_Gelu(benchmark::State &state, const GemmKernel *kernel, std::size_t n)
+{
+    Rng rng(12);
+    std::vector<float> x(n);
+    for (float &v : x)
+        v = static_cast<float>(rng.normal(0.0, 3.0));
+    std::vector<float> value(n);
+    std::vector<float> slope(n);
+    for (auto _ : state) {
+        if (kernel) {
+            kernel->gelu(x.data(), value.data(), slope.data(), n);
+        } else {
+            for (std::size_t i = 0; i < n; ++i) {
+                const float v = x[i];
+                const float c = 0.7978845608028654f; // sqrt(2/pi)
+                const float t = std::tanh(c * (v + 0.044715f * v * v * v));
+                const float sech2 = 1.0f - t * t;
+                value[i] = 0.5f * v * (1.0f + t);
+                slope[i] = 0.5f * (1.0f + t) +
+                           0.5f * v * sech2 * c *
+                               (1.0f + 3.0f * 0.044715f * v * v);
+            }
+        }
+        benchmark::DoNotOptimize(value.data());
+        benchmark::DoNotOptimize(slope.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["elements/s"] = benchmark::Counter(
+        static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void
+registerBenchmarks()
 {
     // train-single's feed-forward up and down projections
     // (seq 64, dim 128, ffn 512) and train-pipeline's up projection
@@ -99,6 +140,23 @@ registerGemmBenchmarks()
             }
         }
     }
+
+    // train-pipeline's and train-single's feed-forward activations
+    // (32 x 128 and 64 x 512).
+    const std::size_t geluSizes[] = {4096, 32768};
+    auto registerGelu = [&](const char *width, const GemmKernel *kernel) {
+        for (std::size_t n : geluSizes) {
+            const std::string name = std::string("BM_Gelu/") + width + "/" +
+                                     std::to_string(n);
+            benchmark::RegisterBenchmark(name.c_str(), BM_Gelu, kernel, n)
+                ->Unit(benchmark::kMicrosecond);
+        }
+    };
+    for (const GemmKernel &kernel : autograd_detail::gemmKernels()) {
+        if (kernel.supported)
+            registerGelu(kernel.name, &kernel);
+    }
+    registerGelu("libm", nullptr);
 }
 
 } // namespace
@@ -107,7 +165,7 @@ registerGemmBenchmarks()
 int
 main(int argc, char **argv)
 {
-    adapipe::registerGemmBenchmarks();
+    adapipe::registerBenchmarks();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

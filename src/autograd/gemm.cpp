@@ -1,23 +1,34 @@
 #include "autograd/gemm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace adapipe {
 namespace autograd_detail {
 
 namespace {
 
-/** W floats in one GCC vector; W == 1 is a plain float. */
+/**
+ * W floats in one GCC vector, and W unsigned and signed 32-bit
+ * integers in vectors of the same size; W == 1 is plain scalars.
+ */
 template <int W>
 struct Lanes
 {
     typedef float type __attribute__((vector_size(W * sizeof(float))));
+    typedef std::uint32_t bits
+        __attribute__((vector_size(W * sizeof(float))));
+    typedef std::int32_t ints
+        __attribute__((vector_size(W * sizeof(float))));
 };
 template <>
 struct Lanes<1>
 {
     using type = float;
+    using bits = std::uint32_t;
+    using ints = std::int32_t;
 };
 
 /**
@@ -107,13 +118,219 @@ gemm(const GemmArgs &g)
     gemmTail<W>(g, j);
 }
 
+/**
+ * out = v lane by lane; float to int truncates toward zero, like a
+ * C cast.
+ */
+template <class To, class From>
+[[gnu::always_inline]] inline void
+convertLanes(const From &v, To &out)
+{
+    if constexpr (std::is_arithmetic_v<From>)
+        out = static_cast<To>(v);
+    else
+        out = __builtin_convertvector(v, To);
+}
+
+// The lane math below takes and returns vectors by reference: a
+// 32- or 64-byte vector passed by value from a function built for
+// the baseline ISA is an ABI change GCC warns about (-Wpsabi), even
+// when the function is always inlined. Each `m ? a : b` computes
+// both a and b in every lane, so both must be defined everywhere.
+
+/**
+ * fdlibm's expm1f (e^x - 1) lane by lane, for the arguments
+ * tanhLanes passes: finite and in (-2, 44). That range never reaches
+ * expm1f's early returns (x <= -27 ln2, overflow, inf, NaN) nor its
+ * k == 1 and k == 128 cases, so those are left out. Every other case
+ * is computed in every lane and each lane picks its own, with the
+ * scalar code's float operations in its order, so each lane returns
+ * expm1f's bits.
+ */
+template <int W>
+[[gnu::always_inline]] inline void
+expm1Lanes(const typename Lanes<W>::type &x, typename Lanes<W>::type &out)
+{
+    using V = typename Lanes<W>::type;
+    using U = typename Lanes<W>::bits;
+    using I = typename Lanes<W>::ints;
+    const float ln2Hi = 6.9313812256e-01f;  // 0x3f317180
+    const float ln2Lo = 9.0580006145e-06f;  // 0x3717f7d1
+    const float invLn2 = 1.4426950216e+00f; // 0x3fb8aa3b
+    const float q1 = -3.3333335072e-02f;    // 0xbd088889
+    const float q2 = 1.5873016091e-03f;     // 0x3ad00d01
+    const float q3 = -7.9365076090e-05f;    // 0xb8a670cd
+    const float q4 = 4.0082177293e-06f;     // 0x36867e54
+    const float q5 = -2.0109921195e-07f;    // 0xb457edbb
+
+    const U sign = __builtin_bit_cast(U, x) & 0x80000000u;
+    const U hx = __builtin_bit_cast(U, x) & 0x7fffffffu;
+
+    // Argument reduction x = k ln2 + r, with r = hi - lo and c the
+    // rounding error of that subtraction: |x| <= 0.5 ln2 takes k = 0,
+    // |x| < 1.5 ln2 takes k = +-1 by x's sign, anything larger rounds
+    // x / ln2 +- 0.5 toward zero. t = k gives fdlibm's own hi and lo
+    // for k = +-1 (t * ln2Hi is exact), and for k = 0 it leaves r = x
+    // and c = 0, as fdlibm's skipped reduction does.
+    I kRound;
+    convertLanes(invLn2 * x + __builtin_bit_cast(V, sign | 0x3f000000u),
+                 kRound);
+    const I kUnit = 1 - 2 * __builtin_bit_cast(I, sign >> 31);
+    const I k = hx > 0x3eb17218u ? (hx < 0x3f851592u ? kUnit : kRound) : 0;
+    V t;
+    convertLanes(k, t);
+    const V hi = x - t * ln2Hi;
+    const V lo = t * ln2Lo;
+    const V r = hi - lo;
+    const V c = (hi - r) - lo;
+
+    const V hfx = 0.5f * r;
+    const V hxs = r * hfx;
+    const V r1 =
+        1.0f + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    const V t3 = 3.0f - r1 * hfx;
+    const V e0 = hxs * ((r1 - t3) / (6.0f - r * t3));
+    const V kZero = r - (r * e0 - hxs);
+    const V e = (r * (e0 - c) - c) - hxs;
+    const V kMinusOne = 0.5f * (r - e) - 0.5f;
+
+    // The remaining cases scale by 2^k by adding k to the exponent
+    // bits. Unsigned lanes wrap where fdlibm's int adds a negative k,
+    // and shift counts stay in [0, 31] in the lanes that take
+    // another case.
+    const U ku = __builtin_bit_cast(U, k);
+    const U scale = ku << 23;
+    // k <= -2 or k > 56.
+    const V far =
+        __builtin_bit_cast(V, __builtin_bit_cast(U, 1.0f - (e - r)) + scale) -
+        1.0f;
+    // 2 <= k < 23, with t = 1 - 2^-k.
+    const V oneMinus =
+        __builtin_bit_cast(V, 0x3f800000u - (0x1000000u >> (ku & 31u)));
+    const V below23 = __builtin_bit_cast(
+        V, __builtin_bit_cast(U, oneMinus - (e - r)) + scale);
+    // 23 <= k <= 56, with t = 2^-k.
+    const V twoToMinusK = __builtin_bit_cast(V, (0x7fu - ku) << 23);
+    const V from23 = __builtin_bit_cast(
+        V, __builtin_bit_cast(U, (r - (e + twoToMinusK)) + 1.0f) + scale);
+
+    V y = k < 23 ? below23 : from23;
+    // k <= -2 or k > 56, tested as one unsigned range: two signed
+    // compares here made GCC 12 split the 16-lane blend into scalars.
+    y = ku + 1u > 57u ? far : y;
+    y = k == -1 ? kMinusOne : y;
+    y = k == 0 ? kZero : y;
+    // |x| < 2^-25 returns x.
+    out = hx < 0x33000000u ? x : y;
+}
+
+/**
+ * fdlibm's tanhf lane by lane, bit-identical to it for every float,
+ * NaN payloads included: |x| >= 1 takes 1 - 2/(t + 2) with
+ * t = expm1(2|x|), smaller |x| takes -t/(t + 2) with
+ * t = expm1(-2|x|); both quotients come from one division.
+ */
+template <int W>
+[[gnu::always_inline]] inline void
+tanhLanes(const typename Lanes<W>::type &x, typename Lanes<W>::type &out)
+{
+    using V = typename Lanes<W>::type;
+    using U = typename Lanes<W>::bits;
+    const U sign = __builtin_bit_cast(U, x) & 0x80000000u;
+    const U ix = __builtin_bit_cast(U, x) & 0x7fffffffu;
+    // |x| < 22 (a NaN's bits compare above). The other lanes, whose
+    // result is fixed, run expm1 on 0 instead, so no lane converts an
+    // out-of-range float to int.
+    const auto inRange = ix < 0x41b00000u;
+    const V ax = __builtin_bit_cast(V, inRange ? ix : 0u);
+    const auto big = ix >= 0x3f800000u;
+    const V twoAx = 2.0f * ax;
+    V t;
+    expm1Lanes<W>(big ? twoAx : -twoAx, t);
+    const V q = (big ? 2.0f : -t) / (t + 2.0f);
+    // |x| >= 22 and inf: fdlibm's 1 - tiny, which rounds to 1.
+    const V z = inRange ? (big ? 1.0f - q : q) : 1.0f;
+    // z > 0 in every lane, so setting the sign bit is fdlibm's -z.
+    const V signedZ = __builtin_bit_cast(V, __builtin_bit_cast(U, z) | sign);
+    // |x| < 2^-55 (and +-0) takes x * (1 + x). For a NaN, x + x is
+    // fdlibm's 1/x +- 1: the quieted x.
+    out = ix < 0x24000000u ? x * (1.0f + x)
+                           : (ix > 0x7f800000u ? x + x : signedZ);
+}
+
+/**
+ * GELU (tanh approximation) and its derivative at x[0, W), with the
+ * scalar formula's float operations in its order.
+ */
+template <int W>
+[[gnu::always_inline]] inline void
+geluLanes(const float *x, float *value, float *slope)
+{
+    using V = typename Lanes<W>::type;
+    V v;
+    std::memcpy(&v, x, sizeof(V));
+    const float c = 0.7978845608028654f; // sqrt(2/pi)
+    V t;
+    tanhLanes<W>(c * (v + 0.044715f * v * v * v), t);
+    const V sech2 = 1.0f - t * t;
+    const V val = 0.5f * v * (1.0f + t);
+    const V slp = 0.5f * (1.0f + t) +
+                  0.5f * v * sech2 * c * (1.0f + 3.0f * 0.044715f * v * v);
+    std::memcpy(value, &val, sizeof(V));
+    std::memcpy(slope, &slp, sizeof(V));
+}
+
+/** W lanes at a time, the tail one float at a time. */
+template <int W>
+[[gnu::always_inline]] inline void
+gelu(const float *x, float *value, float *slope, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+        geluLanes<W>(x + i, value + i, slope + i);
+    for (; i < n; ++i)
+        geluLanes<1>(x + i, value + i, slope + i);
+}
+
+template <int W>
+[[gnu::always_inline]] inline void
+tanhOf(const float *x, float *out, std::size_t n)
+{
+    using V = typename Lanes<W>::type;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+        V v;
+        std::memcpy(&v, x + i, sizeof(V));
+        tanhLanes<W>(v, v);
+        std::memcpy(out + i, &v, sizeof(V));
+    }
+    for (; i < n; ++i)
+        tanhLanes<1>(x[i], out[i]);
+}
+
+// Each instruction set's entry points instantiate the always_inline
+// templates above in their own target, and take pointers, so no
+// vector crosses a call.
 #if defined(__x86_64__)
 // No "fma" in any target: together with -ffp-contract=off this keeps
-// the multiply and the add separate roundings, as in the naive loop.
+// every multiply and add a separate rounding, as in the naive loop
+// and in fdlibm.
 __attribute__((target("avx512f"))) void
 gemmAvx512(const GemmArgs &g)
 {
     gemm<16>(g);
+}
+
+__attribute__((target("avx512f"))) void
+geluAvx512(const float *x, float *value, float *slope, std::size_t n)
+{
+    gelu<16>(x, value, slope, n);
+}
+
+__attribute__((target("avx512f"))) void
+tanhAvx512(const float *x, float *out, std::size_t n)
+{
+    tanhOf<16>(x, out, n);
 }
 
 __attribute__((target("avx2"))) void
@@ -122,16 +339,52 @@ gemmAvx2(const GemmArgs &g)
     gemm<8>(g);
 }
 
+__attribute__((target("avx2"))) void
+geluAvx2(const float *x, float *value, float *slope, std::size_t n)
+{
+    gelu<8>(x, value, slope, n);
+}
+
+__attribute__((target("avx2"))) void
+tanhAvx2(const float *x, float *out, std::size_t n)
+{
+    tanhOf<8>(x, out, n);
+}
+
 void
 gemmSse2(const GemmArgs &g)
 {
     gemm<4>(g);
+}
+
+void
+geluSse2(const float *x, float *value, float *slope, std::size_t n)
+{
+    gelu<4>(x, value, slope, n);
+}
+
+void
+tanhSse2(const float *x, float *out, std::size_t n)
+{
+    tanhOf<4>(x, out, n);
 }
 #else
 void
 gemmPortable(const GemmArgs &g)
 {
     gemm<4>(g);
+}
+
+void
+geluPortable(const float *x, float *value, float *slope, std::size_t n)
+{
+    gelu<4>(x, value, slope, n);
+}
+
+void
+tanhPortable(const float *x, float *out, std::size_t n)
+{
+    tanhOf<4>(x, out, n);
 }
 #endif
 
@@ -142,13 +395,15 @@ gemmKernels()
 {
 #if defined(__x86_64__)
     static const GemmKernel kernels[] = {
-        {"avx512f", gemmAvx512, __builtin_cpu_supports("avx512f") != 0},
-        {"avx2", gemmAvx2, __builtin_cpu_supports("avx2") != 0},
-        {"sse2", gemmSse2, true},
+        {"avx512f", gemmAvx512, geluAvx512, tanhAvx512,
+         __builtin_cpu_supports("avx512f") != 0},
+        {"avx2", gemmAvx2, geluAvx2, tanhAvx2,
+         __builtin_cpu_supports("avx2") != 0},
+        {"sse2", gemmSse2, geluSse2, tanhSse2, true},
     };
 #else
     static const GemmKernel kernels[] = {
-        {"portable", gemmPortable, true},
+        {"portable", gemmPortable, geluPortable, tanhPortable, true},
     };
 #endif
     return kernels;

@@ -1,6 +1,8 @@
 /**
  * @file
- * Register-blocked matmul micro-kernel, built once per SIMD width.
+ * The per-width SIMD kernels of the autograd library: a
+ * register-blocked matmul micro-kernel and GELU with its own tanh,
+ * each built once per SIMD width.
  *
  * Every matmul product of the autograd engine (forward, dA, dB) is
  * one call of O += op(A) . B. The kernel keeps a tile of 4 rows x 2
@@ -11,6 +13,12 @@
  * lane reassociates, so every width is bit-identical to the naive
  * loop; the library builds with -ffp-contract=off so the compiler
  * cannot fuse the multiply and add either.
+ *
+ * GELU's tanh is fdlibm's tanhf (with its expm1f), the function
+ * glibc's libm ships, run lane by lane: each lane does that code's
+ * float operations in its order, its branches evaluated side by side
+ * and blended. So every width returns tanhf's bits for every float,
+ * and no result depends on the host's libm.
  *
  * Internal to the autograd library; kernel tests and benchmarks read
  * the kernel list to cover every width the host supports.
@@ -51,13 +59,23 @@ struct GemmArgs
     std::ptrdiff_t ldo = 0;
 };
 
-/** The micro-kernel built for one instruction set. */
+/** The kernels built for one instruction set. */
 struct GemmKernel
 {
-    /** Instruction set the kernel is built for, e.g. "avx2". */
+    /** Instruction set the kernels are built for, e.g. "avx2". */
     const char *name;
     void (*run)(const GemmArgs &args);
-    /** Whether this CPU can execute it. */
+    /**
+     * GELU (tanh approximation) of x[0, n): its value into value[i]
+     * and its derivative into slope[i]. Either output may be x itself
+     * (linearBiasGelu writes the slope over the pre-activation); the
+     * two outputs must not overlap.
+     */
+    void (*gelu)(const float *x, float *value, float *slope,
+                 std::size_t n);
+    /** out[i] = tanh(x[i]) for i < n, fdlibm tanhf's bits; out may be x. */
+    void (*tanh)(const float *x, float *out, std::size_t n);
+    /** Whether this CPU can execute them. */
     bool supported;
 };
 
@@ -65,7 +83,7 @@ struct GemmKernel
 std::span<const GemmKernel> gemmKernels();
 
 /**
- * The widest supported kernel of gemmKernels(), picked once per
+ * The widest supported kernels of gemmKernels(), picked once per
  * process from the CPU's feature bits.
  */
 const GemmKernel &gemmKernel();

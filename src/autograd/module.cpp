@@ -66,36 +66,6 @@ CausalSelfAttention::CausalSelfAttention(int dim, int num_heads,
                    "dim ", dim, " not divisible by heads ", num_heads);
 }
 
-namespace {
-
-/** Differentiable transpose (the op set keeps it local to here). */
-Variable
-transpose(const Variable &a)
-{
-    const Tensor &av = a.value();
-    Tensor at({av.cols(), av.rows()});
-    for (int i = 0; i < av.rows(); ++i) {
-        for (int j = 0; j < av.cols(); ++j)
-            at.at(j, i) = av.at(i, j);
-    }
-    return Variable::makeNode(
-        std::move(at), {a}, [](Variable::Impl &node) {
-            autograd_detail::BackwardResult result(1);
-            const auto &pa = node.parents[0];
-            if (!pa)
-                return result;
-            Tensor da(pa->value.shape());
-            for (int i = 0; i < da.rows(); ++i) {
-                for (int j = 0; j < da.cols(); ++j)
-                    da.at(i, j) += node.grad.at(j, i);
-            }
-            result[0].push_back(std::move(da));
-            return result;
-        });
-}
-
-} // namespace
-
 Variable
 CausalSelfAttention::forward(const Variable &x) const
 {
@@ -121,7 +91,7 @@ CausalSelfAttention::forward(const Variable &x) const
                           ? v
                           : ops::sliceCols(v, off, head_dim);
         Variable scores =
-            ops::scale(ops::matmul(qh, transpose(kh)), inv_sqrt_d);
+            ops::scale(ops::matmul(qh, ops::transpose(kh)), inv_sqrt_d);
         Variable probs = ops::softmaxRows(scores, /*causal=*/true);
         contexts.push_back(ops::matmul(probs, vh));
     }

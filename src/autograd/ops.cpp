@@ -15,6 +15,7 @@ namespace {
 using Impl = Variable::Impl;
 using autograd_detail::BackwardResult;
 using autograd_detail::GradParts;
+using autograd_detail::gemmKernel;
 using autograd_detail::matmulBackwardA;
 using autograd_detail::matmulBackwardB;
 using autograd_detail::matmulForward;
@@ -26,27 +27,6 @@ one(Tensor t)
     GradParts parts;
     parts.push_back(std::move(t));
     return parts;
-}
-
-/**
- * GELU (tanh approximation) at one point: the value and the
- * derivative from a single tanh.
- */
-struct GeluPoint
-{
-    float value;
-    float slope;
-};
-
-inline GeluPoint
-geluAt(float x)
-{
-    const float c = 0.7978845608028654f; // sqrt(2/pi)
-    const float t = std::tanh(c * (x + 0.044715f * x * x * x));
-    const float sech2 = 1.0f - t * t;
-    return {0.5f * x * (1.0f + t),
-            0.5f * (1.0f + t) +
-                0.5f * x * sech2 * c * (1.0f + 3.0f * 0.044715f * x * x)};
 }
 
 /** db[j] += sum_i g(i, j), ascending i — the addBias reduction. */
@@ -227,11 +207,8 @@ linearBiasGelu(const Variable &x, const Variable &w,
     // in its own buffer (the tensor the separate addBias node would
     // have kept) and the forward's tanh serves both.
     Tensor out = Tensor::uninitialized({m, n});
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        const GeluPoint p = geluAt(pre[i]);
-        out[i] = p.value;
-        pre[i] = p.slope;
-    }
+    gemmKernel().gelu(pre.data().data(), out.data().data(),
+                      pre.data().data(), pre.data().size());
 
     return Variable::makeNodeSlotwise(
         std::move(out), {x, w, bias},
@@ -307,17 +284,26 @@ mul(const Variable &a, const Variable &b)
 Variable
 gelu(const Variable &a)
 {
-    Tensor out = a.value();
-    for (std::int64_t i = 0; i < out.numel(); ++i)
-        out[i] = geluAt(out[i]).value;
+    const Tensor &av = a.value();
+    Tensor out = Tensor::uninitialized(av.shape());
+    Tensor slope = Tensor::uninitialized(av.shape());
+    gemmKernel().gelu(av.data().data(), out.data().data(),
+                      slope.data().data(), av.data().size());
     return Variable::makeNode(std::move(out), {a}, [](Impl &node) {
         BackwardResult result(1);
         const auto &pa = node.parents[0];
         if (!pa)
             return result;
+        // The slope is computed again rather than kept from the
+        // forward, so the node holds no more than its input.
+        const Tensor &x = pa->value;
+        Tensor value = Tensor::uninitialized(x.shape());
+        Tensor slope = Tensor::uninitialized(x.shape());
+        gemmKernel().gelu(x.data().data(), value.data().data(),
+                          slope.data().data(), x.data().size());
         Tensor da = node.grad;
         for (std::int64_t i = 0; i < da.numel(); ++i)
-            da[i] *= geluAt(pa->value[i]).slope;
+            da[i] *= slope[i];
         result[0] = one(std::move(da));
         return result;
     });
@@ -405,6 +391,31 @@ rmsNorm(const Variable &a, const Variable &gamma, float eps)
                 }
                 result[0] = one(std::move(da));
             }
+            return result;
+        });
+}
+
+Variable
+transpose(const Variable &a)
+{
+    const Tensor &av = a.value();
+    Tensor at({av.cols(), av.rows()});
+    for (int i = 0; i < av.rows(); ++i) {
+        for (int j = 0; j < av.cols(); ++j)
+            at.at(j, i) = av.at(i, j);
+    }
+    return Variable::makeNode(
+        std::move(at), {a}, [](Impl &node) {
+            BackwardResult result(1);
+            const auto &pa = node.parents[0];
+            if (!pa)
+                return result;
+            Tensor da(pa->value.shape());
+            for (int i = 0; i < da.rows(); ++i) {
+                for (int j = 0; j < da.cols(); ++j)
+                    da.at(i, j) += node.grad.at(j, i);
+            }
+            result[0] = one(std::move(da));
             return result;
         });
 }

@@ -62,6 +62,9 @@ Variable silu(const Variable &a);
 Variable rmsNorm(const Variable &a, const Variable &gamma,
                  float eps = 1e-5f);
 
+/** Transpose of a [m, n] tensor: the attention's K^T. */
+Variable transpose(const Variable &a);
+
 /** Columns [start, start+len) of a [m, n] tensor. */
 Variable sliceCols(const Variable &a, int start, int len);
 

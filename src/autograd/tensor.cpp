@@ -107,34 +107,6 @@ Tensor::randn(std::vector<int> shape, Rng &rng, float stddev)
     return t;
 }
 
-int
-Tensor::rows() const
-{
-    if (shape_.size() < 2)
-        return 1;
-    return shape_[0];
-}
-
-int
-Tensor::cols() const
-{
-    if (shape_.empty())
-        return 0;
-    return shape_.back();
-}
-
-float &
-Tensor::at(int r, int c)
-{
-    return data_[static_cast<std::size_t>(r) * cols() + c];
-}
-
-float
-Tensor::at(int r, int c) const
-{
-    return data_[static_cast<std::size_t>(r) * cols() + c];
-}
-
 void
 Tensor::add_(const Tensor &other)
 {

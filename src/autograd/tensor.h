@@ -9,6 +9,7 @@
 #ifndef ADAPIPE_AUTOGRAD_TENSOR_H
 #define ADAPIPE_AUTOGRAD_TENSOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,10 +66,10 @@ class Tensor
     const std::vector<int> &shape() const { return shape_; }
 
     /** @return rows for rank-2 tensors (rank-1: 1). */
-    int rows() const;
+    int rows() const { return shape_.size() < 2 ? 1 : shape_[0]; }
 
     /** @return columns for rank-2 tensors (rank-1: size). */
-    int cols() const;
+    int cols() const { return shape_.empty() ? 0 : shape_.back(); }
 
     /** @return mutable flat element access. */
     float &operator[](std::int64_t i) { return data_[i]; }
@@ -77,10 +78,16 @@ class Tensor
     float operator[](std::int64_t i) const { return data_[i]; }
 
     /** @return mutable 2D element access (row-major). */
-    float &at(int r, int c);
+    float &at(int r, int c)
+    {
+        return data_[static_cast<std::size_t>(r) * cols() + c];
+    }
 
     /** @return 2D element access (row-major). */
-    float at(int r, int c) const;
+    float at(int r, int c) const
+    {
+        return data_[static_cast<std::size_t>(r) * cols() + c];
+    }
 
     /** @return raw storage. */
     std::vector<float> &data() { return data_; }

@@ -1,28 +1,34 @@
 /**
  * @file
- * Bit-equality tests for the matmul micro-kernel and the fused
- * linear ops against the naive reference loops, plus regression
- * tests for the tensor buffer pool (checkpoint replays must recycle
- * buffers instead of hitting the heap every iteration).
+ * Bit-equality tests for the matmul micro-kernel, the lane tanh and
+ * GELU, the fused linear ops and the row-wise ops against reference
+ * code, plus regression tests for the tensor buffer pool (checkpoint
+ * replays must recycle buffers instead of hitting the heap every
+ * iteration).
  *
  * The references below ARE the pre-optimization loops, verbatim:
  * same loop nesting, same exact-zero skips, same summation order.
- * Every comparison is on the bits of each float — bit equality, not
- * tolerance — because the pipeline runtime's determinism contract
- * is bit-exact losses. The kernel tests run once per SIMD width in
- * the build, not only for the one the dispatch picks.
+ * The tanh reference is fdlibm's tanhf and expm1f, the scalar code
+ * glibc's libm ships. Every comparison is on the bits of each
+ * float — bit equality, not tolerance — because the pipeline
+ * runtime's determinism contract is bit-exact losses. The kernel
+ * tests run once per SIMD width in the build, not only for the one
+ * the dispatch picks.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/checkpoint.h"
@@ -98,6 +104,147 @@ naiveBackwardB(const Tensor &av, const Tensor &g)
     return db;
 }
 
+/** layerNorm's forward and the values its backward keeps. */
+struct NaiveLayerNorm
+{
+    Tensor out;
+    Tensor xhat;
+    std::vector<float> rstd;
+};
+
+NaiveLayerNorm
+naiveLayerNorm(const Tensor &av, const Tensor &gamma, const Tensor &beta,
+               float eps)
+{
+    const int m = av.rows();
+    const int n = av.cols();
+    Tensor out({m, n});
+    Tensor xhat({m, n});
+    std::vector<float> rstd(m);
+    for (int i = 0; i < m; ++i) {
+        float mean = 0.0f;
+        for (int j = 0; j < n; ++j)
+            mean += av.at(i, j);
+        mean /= n;
+        float var = 0.0f;
+        for (int j = 0; j < n; ++j) {
+            const float d = av.at(i, j) - mean;
+            var += d * d;
+        }
+        var /= n;
+        const float r = 1.0f / std::sqrt(var + eps);
+        rstd[i] = r;
+        for (int j = 0; j < n; ++j) {
+            const float xh = (av.at(i, j) - mean) * r;
+            xhat.at(i, j) = xh;
+            out.at(i, j) = xh * gamma[j] + beta[j];
+        }
+    }
+    return {std::move(out), std::move(xhat), std::move(rstd)};
+}
+
+/** layerNorm's backward: the contributions to a, gamma and beta. */
+void
+naiveLayerNormBackward(const Tensor &g, const NaiveLayerNorm &fwd,
+                       const Tensor &gamma, Tensor &da, Tensor &dg,
+                       Tensor &db)
+{
+    const Tensor &xhat = fwd.xhat;
+    const std::vector<float> &rstd = fwd.rstd;
+    const int m = g.rows();
+    const int n = g.cols();
+    for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j)
+            dg[j] += g.at(i, j) * xhat.at(i, j);
+    }
+    for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j)
+            db[j] += g.at(i, j);
+    }
+    for (int i = 0; i < m; ++i) {
+        // dxhat_j = g_j * gamma_j
+        float sum_dx = 0.0f;
+        float sum_dx_xhat = 0.0f;
+        for (int j = 0; j < n; ++j) {
+            const float dx = g.at(i, j) * gamma[j];
+            sum_dx += dx;
+            sum_dx_xhat += dx * xhat.at(i, j);
+        }
+        for (int j = 0; j < n; ++j) {
+            const float dx = g.at(i, j) * gamma[j];
+            da.at(i, j) = rstd[i] * (dx - sum_dx / n -
+                                     xhat.at(i, j) * sum_dx_xhat / n);
+        }
+    }
+}
+
+/** softmaxRows' forward, with an optional causal mask. */
+Tensor
+naiveSoftmaxRows(const Tensor &av, bool causal)
+{
+    const int m = av.rows();
+    const int n = av.cols();
+    Tensor out({m, n});
+    for (int i = 0; i < m; ++i) {
+        const int limit = causal ? i + 1 : n;
+        float max_v = -1e30f;
+        for (int j = 0; j < limit; ++j)
+            max_v = std::max(max_v, av.at(i, j));
+        float denom = 0.0f;
+        for (int j = 0; j < limit; ++j) {
+            const float e = std::exp(av.at(i, j) - max_v);
+            out.at(i, j) = e;
+            denom += e;
+        }
+        for (int j = 0; j < limit; ++j)
+            out.at(i, j) /= denom;
+        // masked entries stay exactly zero
+    }
+    return out;
+}
+
+/** softmaxRows' backward from its probabilities. */
+Tensor
+naiveSoftmaxRowsBackward(const Tensor &g, const Tensor &probs, bool causal)
+{
+    const int m = g.rows();
+    const int n = g.cols();
+    Tensor da({m, n});
+    for (int i = 0; i < m; ++i) {
+        const int limit = causal ? i + 1 : n;
+        float dot = 0.0f;
+        for (int j = 0; j < limit; ++j)
+            dot += g.at(i, j) * probs.at(i, j);
+        for (int j = 0; j < limit; ++j)
+            da.at(i, j) = probs.at(i, j) * (g.at(i, j) - dot);
+    }
+    return da;
+}
+
+/** The attention's transpose, forward. */
+Tensor
+naiveTranspose(const Tensor &av)
+{
+    Tensor at({av.cols(), av.rows()});
+    for (int i = 0; i < av.rows(); ++i) {
+        for (int j = 0; j < av.cols(); ++j)
+            at.at(j, i) = av.at(i, j);
+    }
+    return at;
+}
+
+/** The attention's transpose, backward: adds g^T to a zero tensor. */
+Tensor
+naiveTransposeBackward(const Tensor &g, const Tensor &av)
+{
+    Tensor da(av.shape());
+    for (int i = 0; i < da.rows(); ++i) {
+        for (int j = 0; j < da.cols(); ++j)
+            da.at(i, j) += g.at(j, i);
+    }
+    return da;
+}
+
 /** Bit equality: tells -0 from +0 and NaN payloads apart. */
 void
 expectBitIdentical(const Tensor &got, const Tensor &want)
@@ -108,6 +255,285 @@ expectBitIdentical(const Tensor &got, const Tensor &want)
                   std::bit_cast<std::uint32_t>(want[i]))
             << "element " << i << ": " << got[i] << " vs " << want[i];
     }
+}
+
+/**
+ * A leaf's gradient as the engine leaves it: a zero buffer plus the
+ * op's contribution (+0 + -0 is +0, so this is not the contribution
+ * itself).
+ */
+Tensor
+accumulated(const Tensor &part)
+{
+    Tensor t(part.shape());
+    t.add_(part);
+    return t;
+}
+
+float
+floatFromBits(std::uint32_t u)
+{
+    return std::bit_cast<float>(u);
+}
+
+std::uint32_t
+bitsOf(float f)
+{
+    return std::bit_cast<std::uint32_t>(f);
+}
+
+// fdlibm's expm1f and tanhf as glibc ships them (s_expm1f.c,
+// s_tanhf.c), verbatim but for the bit access and the errno and
+// exception-flag side effects, which have no effect on the result.
+
+float
+fdlibmExpm1f(float x)
+{
+    const float huge = 1.0e+30f, tiny = 1.0e-30f, one = 1.0f;
+    const float o_threshold = 8.8721679688e+01f; /* 0x42b17180 */
+    const float ln2_hi = 6.9313812256e-01f;      /* 0x3f317180 */
+    const float ln2_lo = 9.0580006145e-06f;      /* 0x3717f7d1 */
+    const float invln2 = 1.4426950216e+00f;      /* 0x3fb8aa3b */
+    const float Q1 = -3.3333335072e-02f;         /* 0xbd088889 */
+    const float Q2 = 1.5873016091e-03f;          /* 0x3ad00d01 */
+    const float Q3 = -7.9365076090e-05f;         /* 0xb8a670cd */
+    const float Q4 = 4.0082177293e-06f;          /* 0x36867e54 */
+    const float Q5 = -2.0109921195e-07f;         /* 0xb457edbb */
+    float y, hi, lo, c = 0.0f, t, e, hxs, hfx, r1;
+    std::int32_t k;
+    std::uint32_t hx = bitsOf(x);
+    const std::uint32_t xsb = hx & 0x80000000u; /* sign bit of x */
+    hx &= 0x7fffffffu;                          /* high word of |x| */
+
+    /* filter out huge and non-finite argument */
+    if (hx >= 0x4195b844u) {     /* if |x|>=27*ln2 */
+        if (hx >= 0x42b17218u) { /* if |x|>=88.721... */
+            if (hx > 0x7f800000u)
+                return x + x; /* NaN */
+            if (hx == 0x7f800000u)
+                return (xsb == 0) ? x : -1.0f; /* exp(+-inf)={inf,-1} */
+            if (x > o_threshold)
+                return huge * huge; /* overflow */
+        }
+        if (xsb != 0) /* x < -27*ln2, return -1.0 with inexact */
+            return tiny - one;
+    }
+
+    /* argument reduction */
+    if (hx > 0x3eb17218u) {     /* if  |x| > 0.5 ln2 */
+        if (hx < 0x3F851592u) { /* and |x| < 1.5 ln2 */
+            if (xsb == 0) {
+                hi = x - ln2_hi;
+                lo = ln2_lo;
+                k = 1;
+            } else {
+                hi = x + ln2_hi;
+                lo = -ln2_lo;
+                k = -1;
+            }
+        } else {
+            k = static_cast<std::int32_t>(invln2 * x +
+                                          ((xsb == 0) ? 0.5f : -0.5f));
+            t = static_cast<float>(k);
+            hi = x - t * ln2_hi; /* t*ln2_hi is exact here */
+            lo = t * ln2_lo;
+        }
+        x = hi - lo;
+        c = (hi - x) - lo;
+    } else if (hx < 0x33000000u) { /* when |x|<2**-25, return x */
+        t = huge + x; /* return x with inexact flags when x!=0 */
+        return x - (t - (huge + x));
+    } else
+        k = 0;
+
+    /* x is now in primary range */
+    hfx = 0.5f * x;
+    hxs = x * hfx;
+    r1 = one + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    t = 3.0f - r1 * hfx;
+    e = hxs * ((r1 - t) / (6.0f - x * t));
+    if (k == 0)
+        return x - (x * e - hxs); /* c is 0 */
+    e = (x * (e - c) - c);
+    e -= hxs;
+    if (k == -1)
+        return 0.5f * (x - e) - 0.5f;
+    if (k == 1) {
+        if (x < -0.25f)
+            return -2.0f * (e - (x + 0.5f));
+        return one + 2.0f * (x - e);
+    }
+    if (k <= -2 || k > 56) { /* suffice to return exp(x)-1 */
+        y = one - (e - x);
+        if (k == 128)
+            y = y * 2.0f * 0x1p127f;
+        else /* add k to y's exponent */
+            y = floatFromBits(bitsOf(y) + (static_cast<std::uint32_t>(k) << 23));
+        return y - one;
+    }
+    if (k < 23) {
+        t = floatFromBits(0x3f800000u - (0x1000000u >> k)); /* t=1-2^-k */
+        y = t - (e - x);
+        y = floatFromBits(bitsOf(y) + (static_cast<std::uint32_t>(k) << 23));
+    } else {
+        t = floatFromBits(static_cast<std::uint32_t>(0x7f - k) << 23); /* 2^-k */
+        y = x - (e + t);
+        y += one;
+        y = floatFromBits(bitsOf(y) + (static_cast<std::uint32_t>(k) << 23));
+    }
+    return y;
+}
+
+float
+fdlibmTanhf(float x)
+{
+    const float one = 1.0f, two = 2.0f, tiny = 1.0e-30f;
+    float t, z;
+    const std::uint32_t jx = bitsOf(x);
+    const std::uint32_t ix = jx & 0x7fffffffu;
+    const bool positive = (jx & 0x80000000u) == 0;
+
+    /* x is INF or NaN */
+    if (ix >= 0x7f800000u) {
+        if (positive)
+            return one / x + one; /* tanh(+-inf)=+-1 */
+        return one / x - one;     /* tanh(NaN) = NaN */
+    }
+
+    /* |x| < 22 */
+    if (ix < 0x41b00000u) { /* |x|<22 */
+        if (ix == 0)
+            return x; /* x == +-0 */
+        if (ix < 0x24000000u) /* |x|<2**-55 */
+            return x * (one + x); /* tanh(small) = small */
+        if (ix >= 0x3f800000u) { /* |x|>=1  */
+            t = fdlibmExpm1f(two * std::fabs(x));
+            z = one - two / (t + two);
+        } else {
+            t = fdlibmExpm1f(-two * std::fabs(x));
+            z = -t / (t + two);
+        }
+        /* |x| > 22, return +-1 */
+    } else {
+        z = one - tiny; /* raised inexact flag */
+    }
+    return positive ? z : -z;
+}
+
+/**
+ * GELU's value and derivative at one point: the scalar formula the
+ * kernels' lanes follow, on the reference tanh.
+ */
+struct GeluPoint
+{
+    float value;
+    float slope;
+};
+
+GeluPoint
+geluAt(float x)
+{
+    const float c = 0.7978845608028654f; // sqrt(2/pi)
+    const float t = fdlibmTanhf(c * (x + 0.044715f * x * x * x));
+    const float sech2 = 1.0f - t * t;
+    return {0.5f * x * (1.0f + t),
+            0.5f * (1.0f + t) +
+                0.5f * x * sech2 * c * (1.0f + 3.0f * 0.044715f * x * x)};
+}
+
+/** fdlibm expm1f's k for an argument y >= 1.5 ln2. */
+int
+expm1K(float y)
+{
+    return static_cast<int>(1.4426950216e+00f * y + 0.5f);
+}
+
+/**
+ * The smallest x in [1, 22) at which expm1f's k for tanh's argument
+ * 2x reaches @p k.
+ */
+std::uint32_t
+firstTanhInputWithK(int k)
+{
+    std::uint32_t lo = bitsOf(1.0f);
+    std::uint32_t hi = bitsOf(22.0f);
+    while (lo < hi) {
+        const std::uint32_t mid = lo + (hi - lo) / 2;
+        if (expm1K(2.0f * floatFromBits(mid)) >= k)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/**
+ * Inputs for the tanh tests: every 4099th float bit pattern (about
+ * 1M), zeros, denormals, infinities, quiet and signalling NaNs of
+ * both signs with payloads, and +-2 ulp around every branch
+ * threshold of tanhf and of expm1f at the arguments tanhf passes it,
+ * in both signs.
+ */
+std::vector<float>
+tanhInputs()
+{
+    std::vector<float> xs;
+    for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099)
+        xs.push_back(floatFromBits(static_cast<std::uint32_t>(u)));
+    const std::uint32_t specials[] = {
+        0x00000000, 0x00000001, 0x00000002, 0x00400000, 0x007fffff,
+        0x00800000, 0x7f7fffff, 0x7f800000, // +inf
+        0x7fc00000, 0x7fc12345, 0x7fffffff, // quiet NaNs
+        0x7f800001, 0x7fa00000, 0x7f812345, // signalling NaNs
+    };
+    std::vector<std::uint32_t> thresholds = {
+        0x24000000, // tanhf: |x| = 2^-55
+        0x3f800000, // tanhf: |x| = 1
+        0x41b00000, // tanhf: |x| = 22
+        // expm1f at -2|x|, so |x| is half the threshold: |2x| = 2^-25,
+        // 0.5 ln2 (k = 0 / -1) and 1.5 ln2 (k = -1 / -2).
+        0x33000000 - 0x00800000,
+        0x3eb17218 - 0x00800000,
+        0x3f851592 - 0x00800000,
+        // expm1f at 2|x|: k = 22 / 23 and k = 56 / 57.
+        firstTanhInputWithK(23),
+        firstTanhInputWithK(57),
+    };
+    for (std::uint32_t u : specials) {
+        xs.push_back(floatFromBits(u));
+        xs.push_back(floatFromBits(u | 0x80000000u));
+    }
+    for (std::uint32_t t : thresholds) {
+        for (std::uint32_t u = t - 2; u <= t + 2; ++u) {
+            xs.push_back(floatFromBits(u));
+            xs.push_back(floatFromBits(u | 0x80000000u));
+        }
+    }
+    return xs;
+}
+
+/**
+ * Compares @p got[i] with @p want(xs[i]) bit for bit, reporting the
+ * mismatch count and the first few inputs.
+ */
+template <class Reference>
+void
+expectSameBits(const std::vector<float> &xs, const std::vector<float> &got,
+               Reference want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), xs.size());
+    std::size_t mismatches = 0;
+    std::ostringstream first;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const std::uint32_t w = bitsOf(want(xs[i]));
+        if (bitsOf(got[i]) == w)
+            continue;
+        if (++mismatches <= 8) {
+            first << std::hex << " x=0x" << bitsOf(xs[i]) << ": 0x"
+                  << bitsOf(got[i]) << " vs 0x" << w << ";";
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << what << " mismatches:" << first.str();
 }
 
 struct Shape
@@ -328,6 +754,78 @@ TEST_P(GemmWidth, ZeroSkipKeepsInfAndNanOut)
     expectBitIdentical(db, want_db);
 }
 
+TEST_P(GemmWidth, TanhMatchesFdlibm)
+{
+    const std::vector<float> xs = tanhInputs();
+    std::vector<float> got(xs.size());
+    kernel().tanh(xs.data(), got.data(), xs.size());
+    expectSameBits(xs, got, fdlibmTanhf, kernel().name);
+    // In place.
+    std::vector<float> inPlace = xs;
+    kernel().tanh(inPlace.data(), inPlace.data(), inPlace.size());
+    expectSameBits(xs, inPlace, fdlibmTanhf,
+                   std::string(kernel().name) + " in place");
+    // One element per call: the scalar lanes of the tails.
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        kernel().tanh(&xs[i], &got[i], 1);
+    expectSameBits(xs, got, fdlibmTanhf,
+                   std::string(kernel().name) + " one at a time");
+}
+
+TEST_P(GemmWidth, GeluMatchesScalarReference)
+{
+    // Every length up to 3 x 16 + 1 ends on every tail length of every
+    // width, after zero, one and several whole vectors. Inputs mix
+    // training-sized values with the special ones.
+    Rng rng(8);
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              1e-30f,
+                              -1e-40f,
+                              25.0f,
+                              -25.0f,
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t n = 0; n <= 49; ++n) {
+        std::vector<float> x(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] = i % 5 == 4 ? specials[(i / 5 + n) % std::size(specials)]
+                              : static_cast<float>(rng.normal(0.0, 3.0));
+        }
+        std::vector<float> value(n);
+        std::vector<float> slope(n);
+        kernel().gelu(x.data(), value.data(), slope.data(), n);
+        const std::string where =
+            std::string(kernel().name) + " n=" + std::to_string(n);
+        expectSameBits(x, value, [](float v) { return geluAt(v).value; },
+                       where + " value");
+        expectSameBits(x, slope, [](float v) { return geluAt(v).slope; },
+                       where + " slope");
+
+        // Each output over the input, as linearBiasGelu and the tanh
+        // entry use it.
+        std::vector<float> slopeInPlace = x;
+        kernel().gelu(slopeInPlace.data(), value.data(),
+                      slopeInPlace.data(), n);
+        expectSameBits(x, value, [](float v) { return geluAt(v).value; },
+                       where + " value, slope in place");
+        expectSameBits(x, slopeInPlace,
+                       [](float v) { return geluAt(v).slope; },
+                       where + " slope in place");
+        std::vector<float> valueInPlace = x;
+        kernel().gelu(valueInPlace.data(), valueInPlace.data(),
+                      slope.data(), n);
+        expectSameBits(x, valueInPlace,
+                       [](float v) { return geluAt(v).value; },
+                       where + " value in place");
+        expectSameBits(x, slope, [](float v) { return geluAt(v).slope; },
+                       where + " slope, value in place");
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWidths, GemmWidth,
     ::testing::Range<std::size_t>(0, autograd_detail::gemmKernels().size()),
@@ -347,6 +845,73 @@ TEST(KernelDispatch, PicksWidestSupportedKernel)
                      [](const GemmKernel &k) { return k.supported; });
     EXPECT_EQ(&autograd_detail::gemmKernel(), &*widest);
     RecordProperty("dispatched_width", autograd_detail::gemmKernel().name);
+}
+
+TEST(TanhReference, MatchesLibmTanhf)
+{
+    // The reference is what libm computed before the lane tanh
+    // replaced it, so losses recorded then still hold. glibc 2.36 was
+    // checked on all 2^32 inputs; later glibc releases replace
+    // several float functions with correctly rounded ones.
+#if defined(__GLIBC__) && __GLIBC__ == 2 && __GLIBC_MINOR__ < 41
+    const std::vector<float> xs = tanhInputs();
+    std::vector<float> libm(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        libm[i] = std::tanh(xs[i]);
+    expectSameBits(xs, libm, fdlibmTanhf, "libm tanhf");
+#else
+    GTEST_SKIP() << "libm is not a glibc before 2.41";
+#endif
+}
+
+TEST(TanhLanes, DISABLED_EveryFloatMatchesFdlibmAtEveryWidth)
+{
+    // All 2^32 inputs at every width the CPU supports, in whole vectors
+    // and one at a time, split over the hardware threads: about a
+    // minute per width on one thread, so it runs only when asked
+    // (--gtest_also_run_disabled_tests).
+    const auto kernels = autograd_detail::gemmKernels();
+    constexpr std::uint64_t kChunk = 1 << 16;
+    constexpr std::uint64_t kChunks = (std::uint64_t{1} << 32) / kChunk;
+    std::vector<std::atomic<std::uint64_t>> mismatches(kernels.size());
+    std::atomic<std::uint64_t> next{0};
+    auto work = [&] {
+        std::vector<float> x(kChunk);
+        std::vector<float> want(kChunk);
+        std::vector<float> got(kChunk);
+        for (std::uint64_t c; (c = next++) < kChunks;) {
+            for (std::uint64_t i = 0; i < kChunk; ++i) {
+                x[i] = floatFromBits(
+                    static_cast<std::uint32_t>(c * kChunk + i));
+                want[i] = fdlibmTanhf(x[i]);
+            }
+            for (std::size_t w = 0; w < kernels.size(); ++w) {
+                if (!kernels[w].supported)
+                    continue;
+                std::uint64_t bad = 0;
+                kernels[w].tanh(x.data(), got.data(), kChunk);
+                for (std::uint64_t i = 0; i < kChunk; ++i)
+                    bad += bitsOf(got[i]) != bitsOf(want[i]);
+                // One element per call: the scalar lanes of the tails.
+                for (std::uint64_t i = 0; i < kChunk; ++i)
+                    kernels[w].tanh(&x[i], &got[i], 1);
+                for (std::uint64_t i = 0; i < kChunk; ++i)
+                    bad += bitsOf(got[i]) != bitsOf(want[i]);
+                mismatches[w] += bad;
+            }
+        }
+    };
+    const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back(work);
+    for (std::thread &t : pool)
+        t.join();
+    for (std::size_t w = 0; w < kernels.size(); ++w) {
+        if (kernels[w].supported) {
+            EXPECT_EQ(mismatches[w].load(), 0u) << kernels[w].name;
+        }
+    }
 }
 
 TEST(KernelEquivalence, LinearBiasMatchesUnfusedGraph)
@@ -395,6 +960,78 @@ TEST(KernelEquivalence, LinearBiasGeluMatchesUnfusedGraph)
         expectBitIdentical(x1.grad(), x2.grad());
         expectBitIdentical(w1.grad(), w2.grad());
         expectBitIdentical(b1.grad(), b2.grad());
+    }
+}
+
+/** Random tensor with a -0 planted every seventh element. */
+Tensor
+randnWithNegativeZeros(std::vector<int> shape, Rng &rng)
+{
+    Tensor t = Tensor::randn(std::move(shape), rng);
+    for (std::int64_t i = 3; i < t.numel(); i += 7)
+        t[i] = -0.0f;
+    return t;
+}
+
+TEST(KernelEquivalence, LayerNormMatchesNaive)
+{
+    Rng rng(9);
+    for (const auto &[m, n] :
+         {std::pair{1, 1}, std::pair{3, 5}, std::pair{8, 64},
+          std::pair{17, 128}}) {
+        Variable a(Tensor::randn({m, n}, rng), true);
+        Variable gamma(Tensor::randn({n}, rng), true);
+        Variable beta(Tensor::randn({n}, rng), true);
+        Variable out = ops::layerNorm(a, gamma, beta, 1e-5f);
+        const NaiveLayerNorm want = naiveLayerNorm(
+            a.value(), gamma.value(), beta.value(), 1e-5f);
+        expectBitIdentical(out.value(), want.out);
+
+        const Tensor g = randnWithNegativeZeros({m, n}, rng);
+        out.backward(g);
+        Tensor da({m, n});
+        Tensor dg({n});
+        Tensor db({n});
+        naiveLayerNormBackward(g, want, gamma.value(), da, dg, db);
+        expectBitIdentical(a.grad(), accumulated(da));
+        expectBitIdentical(gamma.grad(), accumulated(dg));
+        expectBitIdentical(beta.grad(), accumulated(db));
+    }
+}
+
+TEST(KernelEquivalence, SoftmaxRowsMatchesNaive)
+{
+    Rng rng(10);
+    for (bool causal : {false, true}) {
+        for (int t : {1, 5, 33, 64}) {
+            const int cols = causal ? t : t + 3;
+            Variable a(Tensor::randn({t, cols}, rng), true);
+            Variable out = ops::softmaxRows(a, causal);
+            const Tensor probs = naiveSoftmaxRows(a.value(), causal);
+            expectBitIdentical(out.value(), probs);
+
+            const Tensor g = randnWithNegativeZeros({t, cols}, rng);
+            out.backward(g);
+            expectBitIdentical(
+                a.grad(),
+                accumulated(naiveSoftmaxRowsBackward(g, probs, causal)));
+        }
+    }
+}
+
+TEST(KernelEquivalence, TransposeMatchesNaive)
+{
+    Rng rng(11);
+    for (const auto &[m, n] :
+         {std::pair{1, 1}, std::pair{3, 5}, std::pair{64, 32}}) {
+        Variable a(randnWithNegativeZeros({m, n}, rng), true);
+        Variable out = ops::transpose(a);
+        expectBitIdentical(out.value(), naiveTranspose(a.value()));
+
+        const Tensor g = randnWithNegativeZeros({n, m}, rng);
+        out.backward(g);
+        expectBitIdentical(a.grad(),
+                           accumulated(naiveTransposeBackward(g, a.value())));
     }
 }
 

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,6 +260,7 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
         std::int64_t peakSum = 0;
         std::int64_t replays = 0;
         double replayUs = 0;
+        double fastestReplayUs = std::numeric_limits<double>::infinity();
     };
     auto run_mode = [&](BlockRecompute mode) {
         const auto specs = evenStageSpecs(cfg.blocks, 2, mode);
@@ -270,8 +273,11 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
             out.peakSum += sm.peakActivationFloats;
         out.replays = metrics.counter("checkpoint.replays");
         for (const obs::SpanRecord &span : metrics.spans()) {
-            if (span.name == "checkpoint.replay")
+            if (span.name == "checkpoint.replay") {
                 out.replayUs += span.durUs;
+                out.fastestReplayUs =
+                    std::min(out.fastestReplayUs, span.durUs);
+            }
         }
         return out;
     };
@@ -295,8 +301,11 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
     EXPECT_EQ(none.replayUs, 0.0);
     EXPECT_GT(attn.replayUs, 0.0);
     // Full-block replays rerun attention + FFN + both norms; the
-    // attention-only replays are a strict subset of that work.
-    EXPECT_GT(full.replayUs, attn.replayUs);
+    // attention-only replays are a strict subset of that work. The
+    // fastest replay of each mode is compared, not the sums: a stage
+    // thread preempted inside one replay span adds milliseconds to a
+    // sum, more than the FFN and norms add to a replay of this model.
+    EXPECT_GT(full.fastestReplayUs, attn.fastestReplayUs);
 #endif
 }
 
