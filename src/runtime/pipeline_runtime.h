@@ -224,9 +224,10 @@ struct StageMetrics
     /** Checkpoint replays executed for this chunk (warm + lazy). */
     std::int64_t replayOps = 0;
     /**
-     * Summed forward-replay time, warm + lazy. The lazy share is
-     * metered by the "checkpoint.replay_us" counter (zero with obs
-     * off); the warm share is wall-clocked directly.
+     * Summed forward-replay time, warm + lazy. The lazy share is the
+     * "checkpoint.replay_us" counter delta around this chunk's
+     * backwards (counted with obs off too); the warm share is
+     * wall-clocked directly and charged to the chunk that owns it.
      */
     double replaySeconds = 0;
     /** Replays issued early inside channel-wait bubbles (overlap). */

@@ -1,12 +1,12 @@
 /**
  * @file
- * End-to-end tests for the host-offload path: the bit-exactness
- * sweep (offload on/off x p x v x threads x sync/async staging must
- * all train to identical losses), the forced fetch-miss recompute
- * fallback, the offload counters and the activation-memory saving,
- * the OffloadOptions degenerate-parameter diagnostics, the planner
- * producing tri-choice plans on a tight-memory paper workload, and
- * the plan -> StageSpec offload decode driving the runtime.
+ * End-to-end tests for the host-offload path: the offload counters
+ * and the activation-memory saving, the OffloadOptions
+ * degenerate-parameter diagnostics, the planner producing tri-choice
+ * plans on a tight-memory paper workload, and the plan -> StageSpec
+ * offload decode driving the runtime. runtime_differential_test
+ * checks that offload, forced fetch misses included, keeps losses
+ * bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -31,112 +31,6 @@
 
 namespace adapipe {
 namespace {
-
-// Offloaded activations round-trip device -> host -> device as raw
-// float bytes and the fallback replays from the kept boundary input,
-// so the loss stream must be bit-identical to the plain trainer at
-// every (mode, p, v, threads, sync, overlap) corner. Losses alone
-// cannot catch a misrouted checkpoint handle (its calls would just do
-// nothing), so the sync corners also count the evictions: with
-// overlap on, one collector hands out both handle kinds and must
-// still send every offloaded segment to the stager.
-TEST(OffloadBitExactness, SweepMatchesReferenceAtEveryCorner)
-{
-    const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions base = smallOpts(2);
-    const std::int64_t offloaded_blocks = (cfg.blocks + 1) / 2;
-    const BlockRecompute modes[] = {BlockRecompute::None,
-                                    BlockRecompute::AttentionOnly,
-                                    BlockRecompute::Full};
-    for (const BlockRecompute mode : modes) {
-        const std::vector<double> ref = referenceLosses(
-            cfg, base, evenStageSpecs(cfg.blocks, 1, mode));
-        ASSERT_EQ(ref.size(), static_cast<std::size_t>(base.steps));
-        for (const int p : {1, 2, 4}) {
-            for (const int v : {1, 2}) {
-                if (v * p > cfg.blocks)
-                    continue; // a chunk per block at most
-                if (v > 1 && base.microBatches % p != 0)
-                    continue; // Megatron's interleaving constraint
-                const auto specs = withAlternatingOffload(
-                    evenStageSpecs(cfg.blocks, v * p, mode));
-                for (const int threads : {1, 4}) {
-                    for (const bool sync : {false, true}) {
-                        for (const bool overlap : {false, true}) {
-                            RuntimeOptions opts = base;
-                            opts.virtualStages = v;
-                            opts.intraStageThreads = threads;
-                            opts.offloadSync = sync;
-                            opts.overlapReplay = overlap;
-                            TinyLM model(cfg);
-                            const RuntimeResult run =
-                                runPipeline(model, specs, opts);
-                            const std::string corner =
-                                "mode=" +
-                                std::to_string(static_cast<int>(mode)) +
-                                " p=" + std::to_string(p) +
-                                " v=" + std::to_string(v) +
-                                " threads=" + std::to_string(threads) +
-                                " sync=" + std::to_string(sync) +
-                                " overlap=" + std::to_string(overlap);
-                            ASSERT_TRUE(run.ok) << corner << ": "
-                                                << run.error;
-                            EXPECT_EQ(run.losses, ref) << corner;
-                            // An async eviction may lose the race
-                            // against a fast backward.
-                            if (!sync)
-                                continue;
-                            std::int64_t evictions = 0;
-                            for (const StageMetrics &sm : run.stages)
-                                evictions += sm.offloadEvictions;
-                            EXPECT_EQ(evictions,
-                                      offloaded_blocks *
-                                          opts.microBatches *
-                                          opts.steps)
-                                << corner;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(OffloadFallback, ForcedFetchMissesRecomputeBitIdentically)
-{
-    // forceMiss leaves every offloaded segment parked on the host;
-    // each backward must then take the recompute fallback from the
-    // kept boundary input — same losses, and the misses are counted.
-    const TinyLmConfig cfg = smallConfig();
-    RuntimeOptions opts = smallOpts(2);
-    opts.offloadSync = true;
-    opts.offloadForceMiss = true;
-    const auto specs = withAlternatingOffload(
-        evenStageSpecs(cfg.blocks, 2, BlockRecompute::None));
-    const std::vector<double> ref =
-        referenceLosses(cfg, opts, specs);
-
-    TinyLM model(cfg);
-    obs::Registry metrics;
-    const RuntimeResult run =
-        runPipeline(model, specs, opts, &metrics);
-    ASSERT_TRUE(run.ok) << run.error;
-    EXPECT_EQ(run.losses, ref);
-
-    std::int64_t misses = 0;
-    std::int64_t fetches = 0;
-    for (const StageMetrics &sm : run.stages) {
-        misses += sm.offloadFetchMisses;
-        fetches += sm.offloadFetches;
-    }
-    // Sync + forceMiss is fully deterministic: every offloaded
-    // (block, micro-batch, step) misses, nothing is ever fetched.
-    const std::int64_t offloaded_blocks = (cfg.blocks + 1) / 2;
-    EXPECT_EQ(misses, offloaded_blocks * opts.microBatches *
-                          opts.steps);
-    EXPECT_EQ(fetches, 0);
-    EXPECT_EQ(metrics.counter("offload.fetch_miss"), misses);
-}
 
 TEST(OffloadCounters, TransfersAreCountedAndMemoryDrops)
 {

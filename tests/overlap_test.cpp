@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for overlapped checkpoint replay: the bit-exactness sweep
- * (overlap on/off x recompute mode x stage count x virtual stages x
- * intra-stage threads must all train to identical losses), the
- * drain-all firing-order determinism hook, the disjoint
- * backward/replay time accounting, the watchdog wait-accounting
- * regression, and the bubble-discounted planner producing a
- * different knapsack solution than the lazy plan on a golden
- * workload.
+ * Tests for overlapped checkpoint replay: the drain-all firing-order
+ * determinism hook, the disjoint backward/replay time accounting,
+ * the watchdog wait-accounting regression, and the bubble-discounted
+ * planner producing a different knapsack solution than the lazy plan
+ * on a golden workload. runtime_differential_test checks that
+ * overlap keeps losses bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -31,51 +29,6 @@
 
 namespace adapipe {
 namespace {
-
-// Eager replay recomputes from the same saved boundary input with the
-// same parameters as lazy replay, so the loss stream must be
-// bit-identical at every (overlap, recompute, p, v, threads) corner —
-// the paper's Fig. 10 invariant extended to the overlap knob.
-TEST(OverlapBitExactness, SweepMatchesReferenceAtEveryCorner)
-{
-    const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions base = smallOpts(2);
-    const BlockRecompute modes[] = {BlockRecompute::None,
-                                    BlockRecompute::AttentionOnly,
-                                    BlockRecompute::Full};
-    for (const BlockRecompute mode : modes) {
-        const std::vector<double> ref = referenceLosses(
-            cfg, base, evenStageSpecs(cfg.blocks, 1, mode));
-        ASSERT_EQ(ref.size(), static_cast<std::size_t>(base.steps));
-        for (const int p : {1, 2, 4}) {
-            for (const int v : {1, 2}) {
-                if (v * p > cfg.blocks)
-                    continue; // a chunk per block at most
-                if (v > 1 && base.microBatches % p != 0)
-                    continue; // Megatron's interleaving constraint
-                const auto specs =
-                    evenStageSpecs(cfg.blocks, v * p, mode);
-                for (const int threads : {1, 4}) {
-                    for (const bool overlap : {false, true}) {
-                        RuntimeOptions opts = base;
-                        opts.virtualStages = v;
-                        opts.intraStageThreads = threads;
-                        opts.overlapReplay = overlap;
-                        TinyLM model(cfg);
-                        const RuntimeResult run =
-                            runPipeline(model, specs, opts);
-                        ASSERT_TRUE(run.ok) << run.error;
-                        EXPECT_EQ(run.losses, ref)
-                            << "mode=" << static_cast<int>(mode)
-                            << " p=" << p << " v=" << v
-                            << " threads=" << threads
-                            << " overlap=" << overlap;
-                    }
-                }
-            }
-        }
-    }
-}
 
 TEST(OverlapDeterminism, DrainAllFiringOrderIsReproducible)
 {

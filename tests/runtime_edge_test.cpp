@@ -17,9 +17,10 @@
 
 #include "autograd/trainer.h"
 #include "core/planner.h"
-#include "hw/cluster.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/plan_mapping.h"
+
+#include "runtime_fixtures.h"
 
 namespace adapipe {
 namespace {
@@ -28,30 +29,15 @@ namespace {
 TinyLmConfig
 twoBlockConfig()
 {
-    TinyLmConfig cfg;
-    cfg.vocab = 32;
-    cfg.dim = 24;
+    TinyLmConfig cfg = smallConfig();
     cfg.blocks = 2;
-    cfg.ffnHidden = 48;
-    cfg.maxSeq = 32;
-    cfg.seed = 42;
     return cfg;
 }
 
 PlanResult
 planTinyLm(const TinyLmConfig &cfg, int p, int n, PlanMethod method)
 {
-    TrainConfig train;
-    train.seqLen = 12;
-    train.microBatch = 1;
-    train.globalBatch = n;
-    ParallelConfig par;
-    par.tensor = 1;
-    par.pipeline = p;
-    par.data = 1;
-    const ProfiledModel pm = buildProfiledModel(
-        tinyLmModelConfig(cfg), train, par, clusterA(1));
-    return makePlan(pm, method, {});
+    return makePlan(profileTinyLm(cfg, p, n), method, {});
 }
 
 TEST(RuntimeEdge, EvenPartitionRejectsMoreStagesThanBlocks)
@@ -116,29 +102,11 @@ TEST(RuntimeEdge, BlocklessStageRunsBitIdenticalToReference)
     const StageMapping mapping =
         stageSpecsFromPlan(result.plan, cfg);
 
-    RuntimeOptions opts;
-    opts.steps = 2;
-    opts.seqLen = 12;
-    opts.microBatches = 4;
-    opts.lr = 4e-3f;
-    opts.dataSeed = 7;
-
+    const RuntimeOptions opts = smallOpts(2);
     TinyLM model(cfg);
     const RuntimeResult run =
         runPipeline(model, mapping.stages, opts);
-
-    TinyLM ref_model(cfg);
-    TrainOptions ref;
-    ref.steps = opts.steps;
-    ref.seqLen = opts.seqLen;
-    ref.lr = opts.lr;
-    ref.dataSeed = opts.dataSeed;
-    ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : mapping.stages)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
-    EXPECT_EQ(run.losses, trainTinyLM(ref_model, ref).losses);
+    EXPECT_EQ(run.losses, referenceLosses(cfg, opts, mapping.stages));
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Fixtures shared by the pipeline-runtime tests: a small tiny-LM,
  * small run options, the single-threaded reference losses every
- * bit-exactness check compares against, and an alternating
- * host-offload pattern.
+ * bit-exactness check compares against, the tiny LM's profiled model
+ * for (re)planning, and an alternating host-offload pattern.
  */
 
 #ifndef ADAPIPE_TESTS_RUNTIME_FIXTURES_H
@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "autograd/trainer.h"
+#include "core/profiled_model.h"
+#include "hw/cluster.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/plan_mapping.h"
 
 namespace adapipe {
 
@@ -60,6 +63,23 @@ referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
                              spec.recompute.begin(),
                              spec.recompute.end());
     return trainTinyLM(model, ref).losses;
+}
+
+/** Profiled model matching the tiny LM, for planning and replanning
+ *  it on @p p stages with @p n micro-batches. */
+inline ProfiledModel
+profileTinyLm(const TinyLmConfig &cfg, int p, int n)
+{
+    TrainConfig train;
+    train.seqLen = smallOpts(1).seqLen;
+    train.microBatch = 1;
+    train.globalBatch = n;
+    ParallelConfig par;
+    par.tensor = 1;
+    par.pipeline = p;
+    par.data = 1;
+    return buildProfiledModel(tinyLmModelConfig(cfg), train, par,
+                              clusterA(1));
 }
 
 /** Mark every other block for host offload. */

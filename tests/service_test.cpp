@@ -4,12 +4,14 @@
  * the LRU response cache, the cross-request knapsack memo, warm/cold
  * determinism (byte-identical responses, >= 10x faster warm), replan
  * equivalence with a direct replanDegraded() call, and the TCP server
- * under concurrent clients.
+ * under concurrent clients (cold, warm and replan sweeps, checked
+ * against the server's own stats).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <iterator>
@@ -28,6 +30,7 @@
 #include "obs/macros.h"
 #include "service/server.h"
 #include "util/canonical_json.h"
+#include "util/json.h"
 
 namespace adapipe {
 namespace {
@@ -42,14 +45,17 @@ nowUs()
 
 /** A fast-to-plan request against the test model. */
 std::string
-tinyRequestLine(const std::string &kind, int pipeline = 2)
+tinyRequestLine(const std::string &kind, int pipeline = 2,
+                int seq = 128, const std::string &fault = "")
 {
     return std::string("{\"kind\": \"") + kind +
            "\", \"plan\": {\"model\": \"tiny-test\", "
            "\"cluster\": {\"name\": \"a\", \"nodes\": 1}, "
-           "\"train\": {\"seq_len\": 128, \"global_batch\": 8}, "
+           "\"train\": {\"seq_len\": " + std::to_string(seq) +
+           ", \"global_batch\": 8}, "
            "\"parallel\": {\"tensor\": 1, \"pipeline\": " +
-           std::to_string(pipeline) + "}}}";
+           std::to_string(pipeline) + "}}" +
+           (fault.empty() ? "" : ", \"fault\": " + fault) + "}";
 }
 
 /**
@@ -490,6 +496,82 @@ TEST(PlanServerTcp, ConcurrentClientsGetByteIdenticalResponses)
     EXPECT_GE(server.metrics().counter("service.requests"),
               kClients);
 #endif
+}
+
+/** Send @p lines over 4 client connections at once; response i
+ *  answers line i (empty when the request failed). */
+std::vector<std::string>
+sendConcurrently(int port, const std::vector<std::string> &lines)
+{
+    std::vector<std::string> responses(lines.size());
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&] {
+            PlanClient client;
+            if (!client.connect("127.0.0.1", port).ok())
+                return;
+            for (std::size_t i = next++; i < lines.size(); i = next++) {
+                const ParseResult<std::string> r =
+                    client.request(lines[i]);
+                if (r.ok())
+                    responses[i] = r.value();
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+    return responses;
+}
+
+TEST(PlanServerTcp, ConcurrentColdWarmAndReplanSweeps)
+{
+    // One server, four clients: distinct cold plans, the same requests
+    // again warm, then straggler replans against a cached base plan,
+    // each with its own factor so none is answered from the cache.
+    PlanServerOptions opts;
+    opts.threads = 4;
+    PlanServer server(opts);
+    const ParseStatus started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    const int port = server.port();
+
+    std::vector<std::string> plans;
+    for (const int pipeline : {1, 2}) {
+        for (const int seq : {64, 128})
+            plans.push_back(tinyRequestLine("plan", pipeline, seq));
+    }
+    std::vector<std::string> replans;
+    for (const char *factor : {"1.5", "2.0", "3.0"}) {
+        replans.push_back(tinyRequestLine(
+            "replan", 2, 128,
+            std::string("{\"straggler_stage\": 0, "
+                        "\"straggler_factor\": ") +
+                factor + "}"));
+    }
+
+    const std::vector<std::string> cold = sendConcurrently(port, plans);
+    const std::vector<std::string> warm = sendConcurrently(port, plans);
+    const std::vector<std::string> replanned =
+        sendConcurrently(port, replans);
+    for (const std::vector<std::string> *sweep :
+         {&cold, &warm, &replanned}) {
+        for (const std::string &response : *sweep)
+            EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    }
+    EXPECT_EQ(warm, cold);
+
+    const ParseResult<std::string> stats =
+        serviceRequest("127.0.0.1", port, "{\"kind\": \"stats\"}");
+    ASSERT_TRUE(stats.ok()) << stats.error();
+    const ParseResult<JsonValue> doc = JsonValue::tryParse(stats.value());
+    ASSERT_TRUE(doc.ok()) << doc.error();
+    EXPECT_GE(doc.value().at("cache").at("hits").asInteger(), 1)
+        << stats.value();
+    EXPECT_EQ(doc.value().at("requests").at("replan").asInteger(),
+              static_cast<std::int64_t>(replans.size()))
+        << stats.value();
+    server.stop();
 }
 
 TEST(PlanServerTcp, OneConnectionServesManyRequestsThenShutdown)
