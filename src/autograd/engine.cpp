@@ -71,6 +71,15 @@ struct NodeState
     std::vector<DepositTarget> deposit;
     /** Contributions not yet deposited; last one reduces. */
     std::atomic<int> outstanding{0};
+    /**
+     * Nodes whose storage this node's tasks read: the node itself
+     * (its grad, sometimes its value; never the root) and each
+     * distinct interior parent (a backward may read its parents'
+     * values).
+     */
+    std::vector<NodeState *> reads;
+    /** Tasks still to read this node; the last one frees it. */
+    std::atomic<int> readers{0};
 };
 
 struct WorkerQueue
@@ -95,6 +104,8 @@ struct Job
     std::deque<NodeState> states;
     std::unordered_map<VarImpl *, NodeState *> index;
     GradCapture *capture = nullptr;
+    /** Meter of the thread that owns the graph; helpers adopt it. */
+    autograd_detail::ActivationMeter *meter = nullptr;
 
     std::deque<WorkerQueue> queues;
     /** Tasks not yet finished (counted in full by the pre-pass). */
@@ -131,6 +142,10 @@ stateFor(Job &job, VarImpl *node)
  * contribution slot in that order. Reproducing the old traversal
  * verbatim is what makes the reduction order — and therefore every
  * gradient bit — identical to the original single-threaded engine.
+ *
+ * Each interior node other than the root also gets a reader count:
+ * its own tasks plus every task of each distinct consumer. The root
+ * keeps its value and grad for the caller; leaves are never freed.
  */
 void
 buildJob(Job &job, VarImpl *root)
@@ -156,8 +171,13 @@ buildJob(Job &job, VarImpl *root)
     }
     std::reverse(order.begin(), order.end());
 
-    for (VarImpl *node : order)
+    for (VarImpl *node : order) {
+        ADAPIPE_ASSERT(!node->consumed,
+                       "backward over a consumed graph: an earlier "
+                       "backward freed this node's value and gradient; "
+                       "build a fresh graph for every backward");
         stateFor(job, node).interior = true;
+    }
 
     std::int64_t total_tasks = 0;
     for (VarImpl *node : order) {
@@ -181,6 +201,22 @@ buildJob(Job &job, VarImpl *root)
         else
             cs.numTasks = live_parents > 0 ? 1 : 0;
         total_tasks += cs.numTasks;
+
+        if (cs.numTasks == 0)
+            continue;
+        if (node != root)
+            cs.reads.push_back(&cs);
+        for (const auto &parent : node->parents) {
+            if (!parent || parent->isLeaf)
+                continue;
+            NodeState *ps = job.index.at(parent.get());
+            if (std::find(cs.reads.begin(), cs.reads.end(), ps) ==
+                cs.reads.end())
+                cs.reads.push_back(ps);
+        }
+        for (NodeState *read : cs.reads)
+            read->readers.fetch_add(cs.numTasks,
+                                    std::memory_order_relaxed);
     }
 
     for (NodeState &st : job.states)
@@ -271,6 +307,27 @@ deposit(Job &job, int me, const DepositTarget &target, GradParts parts,
         finishNode(job, me, ps, stats);
 }
 
+/**
+ * Count one finished reader off @p st. The last reader frees the
+ * node's value and grad, re-meters them, drops its backward closure
+ * (and every buffer it saved) and marks the node consumed; acq_rel
+ * orders every other reader's accesses before the free.
+ */
+void
+releaseRead(NodeState &st)
+{
+    if (st.readers.fetch_sub(1, std::memory_order_acq_rel) != 1)
+        return;
+    VarImpl &node = *st.node;
+    autograd_detail::meterAdjust(
+        -(node.value.numel() + node.grad.numel()));
+    node.value = Tensor();
+    node.grad = Tensor();
+    node.backwardFn = nullptr;
+    node.slotBackwardFn = nullptr;
+    node.consumed = true;
+}
+
 void
 runTask(Job &job, int me, const Task &task, WorkerStats &stats)
 {
@@ -284,19 +341,20 @@ runTask(Job &job, int me, const Task &task, WorkerStats &stats)
         deposit(job, me,
                 st.deposit[static_cast<std::size_t>(task.slot)],
                 std::move(parts), stats);
-        return;
+    } else {
+        BackwardResult result;
+        if (node.backwardFn)
+            result = node.backwardFn(node);
+        for (std::size_t s = 0; s < st.deposit.size(); ++s) {
+            if (!st.deposit[s].state)
+                continue;
+            GradParts parts =
+                s < result.size() ? std::move(result[s]) : GradParts{};
+            deposit(job, me, st.deposit[s], std::move(parts), stats);
+        }
     }
-
-    BackwardResult result;
-    if (node.backwardFn)
-        result = node.backwardFn(node);
-    for (std::size_t s = 0; s < st.deposit.size(); ++s) {
-        if (!st.deposit[s].state)
-            continue;
-        GradParts parts =
-            s < result.size() ? std::move(result[s]) : GradParts{};
-        deposit(job, me, st.deposit[s], std::move(parts), stats);
-    }
+    for (NodeState *read : st.reads)
+        releaseRead(*read);
 }
 
 bool
@@ -516,6 +574,7 @@ BackwardEngine::BackwardEngine(EngineOptions opts)
                 }
                 {
                     obs::ScopedRegistry scope(scratch);
+                    autograd_detail::AdoptMeter adopt(*job->meter);
                     workerLoop(*job, i);
                 }
                 {
@@ -554,6 +613,7 @@ BackwardEngine::run(const Variable &root, const Tensor &seed)
 
     Shared &sh = *shared_;
     Job job;
+    job.meter = &autograd_detail::currentMeter();
     for (int i = 0; i < threads_; ++i)
         job.queues.emplace_back();
     buildJob(job, root.impl().get());

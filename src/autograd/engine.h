@@ -22,6 +22,18 @@
  * losses equal to the single-threaded trainer's under intra-stage
  * parallelism (the repo's standing bit-equality contract).
  *
+ * Lifetimes: the pre-pass also gives every interior node except the
+ * root a reader count — its own tasks plus every task of each
+ * distinct consumer, since a consumer's backward may read its
+ * parents' values. The task that takes the count to zero frees the
+ * node's value and grad, re-meters them, drops the node's backward
+ * closure with every buffer it saved and marks the node consumed, so
+ * activations and their gradients die at their last reader. A
+ * backward therefore consumes its graph: running backward over a
+ * consumed node panics. The root keeps its value and grad for the
+ * caller, leaves are never freed, and a checkpoint replay's inner
+ * backward frees its rebuilt graph the same way.
+ *
  * Threading: BackwardEngine owns threads-1 persistent helper
  * threads, parked between runs; the calling thread always works as
  * worker 0, so threads == 1 never spawns anything and is the
@@ -29,7 +41,9 @@
  * record observability into private scratch registries (obs
  * Registries are single-threaded by contract) that are merged into
  * the caller's registry after quiescence, so counters like
- * checkpoint.replays survive parallel execution losslessly.
+ * checkpoint.replays survive parallel execution losslessly. For the
+ * length of a job they also adopt the caller's activation meter, so
+ * every allocation and free is charged to the graph's owner.
  */
 
 #ifndef ADAPIPE_AUTOGRAD_ENGINE_H
@@ -73,7 +87,8 @@ class BackwardEngine
     /**
      * Run backward from @p root seeded with @p seed (same shape as
      * the root's value), accumulating into reachable grads exactly
-     * like Variable::backward. Exceptions thrown by backward
+     * like Variable::backward, and consume the graph (every interior
+     * node but the root is freed). Exceptions thrown by backward
      * functions propagate to the caller after all workers quiesce.
      */
     void run(const Variable &root, const Tensor &seed);

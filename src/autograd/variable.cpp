@@ -14,22 +14,30 @@ thread_local bool grad_enabled = true;
 std::atomic<std::int64_t> live_floats{0};
 std::atomic<std::int64_t> peak_floats{0};
 
-thread_local std::int64_t tl_live_floats = 0;
-thread_local std::int64_t tl_peak_floats = 0;
+/** The calling thread's own meter, and the one it adopted (if any). */
+thread_local autograd_detail::ActivationMeter tl_own_meter;
+thread_local autograd_detail::ActivationMeter *tl_adopted = nullptr;
+
+/** Add @p n to @p live and raise @p peak to the new value. */
+void
+addTracked(std::atomic<std::int64_t> &live,
+           std::atomic<std::int64_t> &peak, std::int64_t n)
+{
+    const std::int64_t now =
+        live.fetch_add(n, std::memory_order_relaxed) + n;
+    std::int64_t seen = peak.load(std::memory_order_relaxed);
+    while (now > seen && !peak.compare_exchange_weak(
+                             seen, now, std::memory_order_relaxed)) {
+    }
+}
 
 void
 meterAdd(std::int64_t n)
 {
-    const std::int64_t now =
-        live_floats.fetch_add(n, std::memory_order_relaxed) + n;
-    std::int64_t peak = peak_floats.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_floats.compare_exchange_weak(
-               peak, now, std::memory_order_relaxed)) {
-    }
-    tl_live_floats += n;
-    if (tl_live_floats > tl_peak_floats)
-        tl_peak_floats = tl_live_floats;
+    addTracked(live_floats, peak_floats, n);
+    autograd_detail::ActivationMeter &meter =
+        autograd_detail::currentMeter();
+    addTracked(meter.live, meter.peak, n);
 }
 
 } // namespace
@@ -42,7 +50,7 @@ VarImpl::~VarImpl()
 {
     const std::int64_t n = value.numel() + grad.numel();
     live_floats.fetch_sub(n, std::memory_order_relaxed);
-    tl_live_floats -= n;
+    currentMeter().live.fetch_sub(n, std::memory_order_relaxed);
 }
 
 void
@@ -58,6 +66,22 @@ void
 meterAdjust(std::int64_t n)
 {
     meterAdd(n);
+}
+
+ActivationMeter &
+currentMeter()
+{
+    return tl_adopted ? *tl_adopted : tl_own_meter;
+}
+
+AdoptMeter::AdoptMeter(ActivationMeter &meter) : previous_(tl_adopted)
+{
+    tl_adopted = &meter;
+}
+
+AdoptMeter::~AdoptMeter()
+{
+    tl_adopted = previous_;
 }
 
 } // namespace autograd_detail
@@ -100,19 +124,24 @@ resetActivationMeter()
 std::int64_t
 threadLiveActivationFloats()
 {
-    return tl_live_floats;
+    return autograd_detail::currentMeter().live.load(
+        std::memory_order_relaxed);
 }
 
 std::int64_t
 threadPeakActivationFloats()
 {
-    return tl_peak_floats;
+    return autograd_detail::currentMeter().peak.load(
+        std::memory_order_relaxed);
 }
 
 void
 resetThreadActivationMeter()
 {
-    tl_peak_floats = tl_live_floats;
+    autograd_detail::ActivationMeter &meter =
+        autograd_detail::currentMeter();
+    meter.peak.store(meter.live.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
 }
 
 Variable::Variable(Tensor value, bool requires_grad)

@@ -6,11 +6,12 @@
  * enabled) its position in the computation graph. Calling
  * Variable::backward() runs the dependency-counting ready-queue
  * executor (autograd/engine.h) on the calling thread, accumulating
- * gradients into leaves; BackwardEngine runs the same executor over
- * multiple worker threads with bit-identical results. A thread-local
- * GradMode switch lets the checkpointing machinery run segments
- * without recording the graph, exactly like the recomputation the
- * paper performs at scale.
+ * gradients into leaves and freeing every interior value and
+ * gradient at its last reader, which consumes the graph;
+ * BackwardEngine runs the same executor over multiple worker threads
+ * with bit-identical results. A thread-local GradMode switch lets the
+ * checkpointing machinery run segments without recording the graph,
+ * exactly like the recomputation the paper performs at scale.
  *
  * Deterministic reduction rule: a node's backward produces, for each
  * parent slot, an ORDERED list of gradient addends instead of adding
@@ -24,6 +25,7 @@
 #ifndef ADAPIPE_AUTOGRAD_VARIABLE_H
 #define ADAPIPE_AUTOGRAD_VARIABLE_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,6 +57,13 @@ struct VarImpl
     Tensor grad;
     bool requiresGrad = false;
     bool isLeaf = true;
+    /**
+     * A backward freed this interior node's value, grad and backward
+     * closure at their last reader (autograd/engine.h). A graph is
+     * consumed by its backward: running backward over the node again
+     * panics.
+     */
+    bool consumed = false;
     /** Parents whose gradients this node contributes to. */
     std::vector<std::shared_ptr<VarImpl>> parents;
     /**
@@ -87,12 +96,46 @@ void ensureGradBuffer(VarImpl &node);
 
 /**
  * Adjust the activation meters by @p n floats (negative to release).
- * Host-offload eviction moves a live node's value storage off the
- * "device" and fetch moves it back; VarImpl's destructor subtracts
- * whatever the node holds at death, so those moves must re-meter
- * explicitly to keep live/peak counts exact.
+ * The backward engine frees a node's value and grad at their last
+ * reader, host-offload eviction moves a live node's value storage
+ * off the "device" and fetch moves it back; VarImpl's destructor
+ * subtracts whatever the node holds at death, so those moves must
+ * re-meter explicitly to keep live/peak counts exact.
  */
 void meterAdjust(std::int64_t n);
+
+/**
+ * Live and peak activation floats of one graph owner. Every thread
+ * owns one and charges it by default (threadLiveActivationFloats()).
+ */
+struct ActivationMeter
+{
+    std::atomic<std::int64_t> live{0};
+    std::atomic<std::int64_t> peak{0};
+};
+
+/** @return the meter the calling thread charges right now. */
+ActivationMeter &currentMeter();
+
+/**
+ * RAII: charge every meter update the calling thread makes in this
+ * scope to @p meter. A thread working on another thread's graph
+ * adopts the owner's meter: BackwardEngine helpers for the duration
+ * of a job, the host stager for each transfer. The meter must
+ * outlive every thread that adopts it.
+ */
+class AdoptMeter
+{
+  public:
+    explicit AdoptMeter(ActivationMeter &meter);
+    ~AdoptMeter();
+
+    AdoptMeter(const AdoptMeter &) = delete;
+    AdoptMeter &operator=(const AdoptMeter &) = delete;
+
+  private:
+    ActivationMeter *previous_;
+};
 
 } // namespace autograd_detail
 
@@ -120,7 +163,11 @@ bool gradEnabled();
  * Peak number of floats held alive by graph nodes since the last
  * resetActivationMeter() call — the engine's measure of activation
  * memory, used to demonstrate that checkpointing really frees
- * intermediates.
+ * intermediates. It counts node values (saved activations), node
+ * grads (activation gradients until their last reader, parameter
+ * gradients until the parameter dies); buffers a backward closure
+ * holds (the GELU slope, softmax probabilities) are not metered, and
+ * die with the closure at the node's last reader.
  */
 std::int64_t peakActivationFloats();
 
@@ -135,10 +182,13 @@ void resetActivationMeter();
  * attribute peak activation memory to individual stage threads (the
  * process-wide meter above cannot tell stages apart).
  *
- * Allocations are charged to the allocating thread and releases to
- * the releasing thread, so the counters are exact for code that
- * builds and drops its graphs on one thread (each pipeline stage
- * does); cross-thread frees show up as drift on the freeing thread.
+ * Every allocation and release is charged to the meter of the thread
+ * that owns the graph: the calling thread's own, unless it adopted
+ * another (autograd_detail::AdoptMeter). BackwardEngine helpers adopt
+ * the run() caller's meter, and the host stager charges every
+ * transfer to the meter of the stage worker that owns it, so the
+ * owner's counts are exact at any engine width and whichever thread
+ * allocated or freed a node.
  */
 std::int64_t threadLiveActivationFloats();
 
@@ -186,9 +236,10 @@ class Variable
 
     /**
      * Run reverse-mode differentiation seeded with @p seed (same
-     * shape as the value), on the calling thread. This is the
-     * single-threaded reference the parallel BackwardEngine is
-     * bit-identical to.
+     * shape as the value), on the calling thread, consuming the
+     * graph: every interior node's value and grad are freed, and a
+     * second backward over them panics. This is the single-threaded
+     * reference the parallel BackwardEngine is bit-identical to.
      */
     void backward(const Tensor &seed);
 

@@ -1,21 +1,16 @@
 #include "runtime/host_stager.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "autograd/tensor_pool.h"
 
 namespace adapipe {
 
-namespace {
-
-/** Prefetch window in device-order ops: when the worker's cursor
- *  reaches op rank t, fetches are queued for parked micro-batches
- *  whose backward rank is <= t + kPrefetchLookahead. */
-constexpr std::size_t kPrefetchLookahead = 2;
-
-} // namespace
-
-HostStager::HostStager(const Options &opts) : opts_(opts)
+HostStager::HostStager(const Options &opts,
+                       autograd_detail::ActivationMeter &meter)
+    : opts_(opts), meter_(meter)
 {
     if (!opts_.sync)
         thread_ = std::thread([this] { threadMain(); });
@@ -34,7 +29,10 @@ HostStager::submitEvict(std::size_t bwd_rank,
         return;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        parked_[bwd_rank].handles = std::move(handles);
+        std::vector<CheckpointHandle> &parked = parked_[bwd_rank];
+        parked.insert(parked.end(),
+                      std::make_move_iterator(handles.begin()),
+                      std::make_move_iterator(handles.end()));
         jobs_.push_back(Job{true, bwd_rank});
     }
     if (opts_.sync)
@@ -44,26 +42,35 @@ HostStager::submitEvict(std::size_t bwd_rank,
 }
 
 void
-HostStager::advance(std::size_t op_rank)
+HostStager::advance(std::size_t op_rank, bool forward)
 {
     if (opts_.forceMiss)
         return;
-    bool queued = false;
+    if (!forward) {
+        // A transfer still queued for this backward would land after
+        // its consume-or-fallback gate: pull it and fetch here. One
+        // already running holds the segment mutex; the fetch waits.
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (parked_.find(op_rank) == parked_.end())
+                return;
+            jobs_.erase(std::remove_if(jobs_.begin(), jobs_.end(),
+                                       [op_rank](const Job &job) {
+                                           return job.rank == op_rank;
+                                       }),
+                        jobs_.end());
+        }
+        runJob(Job{false, op_rank});
+        return;
+    }
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const std::size_t horizon = op_rank + kPrefetchLookahead;
-        for (auto &entry : parked_) {
-            if (entry.first > horizon)
-                break;
-            if (entry.second.fetchQueued)
-                continue;
-            entry.second.fetchQueued = true;
-            jobs_.push_back(Job{false, entry.first});
-            queued = true;
-        }
+        // Parked ranks are backward ranks: the one right after this
+        // forward, if any, is op_rank + 1.
+        if (parked_.find(op_rank + 1) == parked_.end())
+            return;
+        jobs_.push_back(Job{false, op_rank + 1});
     }
-    if (!queued)
-        return;
     if (opts_.sync)
         drainInline();
     else
@@ -137,13 +144,15 @@ HostStager::runJob(const Job &job)
     // and keeping mu_ out lets the worker submit/advance meanwhile.
     // A concurrent release() only erases the parked entry; the
     // copied handles stay valid and their consumed flag makes the
-    // transfer a no-op.
+    // transfer a no-op. Whichever thread runs the job, the stage's
+    // meter pays, the copies' release included.
+    autograd_detail::AdoptMeter adopt(meter_);
     std::vector<CheckpointHandle> handles;
     {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = parked_.find(job.rank);
         if (it != parked_.end())
-            handles = it->second.handles;
+            handles = it->second;
     }
     std::int64_t moved = 0;
     std::size_t bytes = 0;

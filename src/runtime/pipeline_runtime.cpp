@@ -270,6 +270,11 @@ class StageWorker
     std::vector<std::int64_t> firings_;
     std::vector<int> tokens_;
     std::vector<int> targets_;
+    /** The worker's activation meter: run() adopts it, the engine
+     *  helpers and the host stager charge it. Declared before both so
+     *  it outlives them, also when run() unwinds with the stager's
+     *  transfer thread still running. */
+    autograd_detail::ActivationMeter meter_;
     /** Per-stage backward engine (opts.intraStageThreads workers);
      *  created on the worker thread so helpers are its children. */
     std::unique_ptr<BackwardEngine> engine_;
@@ -475,12 +480,23 @@ StageWorker::runForward(int step, const PipeOp &op)
     }
 
     const double start_us = obs::nowUs();
-    // Scoop up the handles the blocks' checkpoints register: resident
-    // (offloaded) segments go to the host stager, recompute segments
-    // to the overlap executor, both keyed by the backward's rank.
+    // Scoop up the handles the blocks' checkpoints register, keyed by
+    // the backward's rank: resident (offloaded) segments go to the
+    // host stager as soon as their block's forward ends, so the next
+    // block runs without them on device; recompute segments go to the
+    // overlap executor once the whole forward ran.
     std::optional<CheckpointCollector> collector;
-    if (opts_.overlapReplay || stager_)
+    std::size_t bwd_rank = 0;
+    if (opts_.overlapReplay || stager_) {
         collector.emplace();
+        const auto rank = bwdRank_.find({op.pos, op.microBatch});
+        ADAPIPE_ASSERT(rank != bwdRank_.end(),
+                       "no backward op for position ", op.pos,
+                       " micro-batch ", op.microBatch,
+                       " in the device order");
+        bwd_rank = rank->second;
+    }
+    PendingReplays entry;
     if (spec.embedding) {
         makeBigramBatch(model_.config().vocab, opts_.seqLen,
                         step * n + op.microBatch, opts_.dataSeed,
@@ -494,28 +510,22 @@ StageWorker::runForward(int step, const PipeOp &op)
             h = model_.blockForwardOffload(b, h);
         else
             h = model_.blockForward(b, h, spec.recompute[bi]);
-    }
-    if (collector) {
-        PendingReplays entry;
+        if (!collector)
+            continue;
         std::vector<CheckpointHandle> offloaded;
         for (CheckpointHandle &handle : collector->take()) {
             (handle.offloadable() ? offloaded : entry.handles)
                 .push_back(std::move(handle));
         }
-        collector.reset();
-        const auto rank = bwdRank_.find({op.pos, op.microBatch});
-        ADAPIPE_ASSERT(rank != bwdRank_.end(),
-                       "no backward op for position ", op.pos,
-                       " micro-batch ", op.microBatch,
-                       " in the device order");
         if (!offloaded.empty())
-            stager_->submitEvict(rank->second, std::move(offloaded));
-        if (opts_.overlapReplay && !entry.handles.empty()) {
-            entry.local = local;
-            entry.pos = op.pos;
-            entry.microBatch = op.microBatch;
-            pending_.emplace(rank->second, std::move(entry));
-        }
+            stager_->submitEvict(bwd_rank, std::move(offloaded));
+    }
+    collector.reset();
+    if (opts_.overlapReplay && !entry.handles.empty()) {
+        entry.local = local;
+        entry.pos = op.pos;
+        entry.microBatch = op.microBatch;
+        pending_.emplace(bwd_rank, std::move(entry));
     }
     Inflight &fl = inflight_[{local, op.microBatch}];
     if (spec.head) {
@@ -683,6 +693,7 @@ StageWorker::run()
     // Engine-level instrumentation (checkpoint replays) lands here
     // too via the thread-local obs::current() pointer.
     obs::ScopedRegistry scope(&registry_);
+    autograd_detail::AdoptMeter adopt(meter_);
     resetThreadActivationMeter();
     const std::int64_t act_base = threadLiveActivationFloats();
 
@@ -717,7 +728,7 @@ StageWorker::run()
         HostStager::Options so;
         so.sync = opts_.offloadSync;
         so.forceMiss = opts_.offloadForceMiss;
-        stager_ = std::make_unique<HostStager>(so);
+        stager_ = std::make_unique<HostStager>(so, meter_);
     }
 
     const std::vector<std::size_t> &order =
@@ -741,14 +752,13 @@ StageWorker::run()
         opsThisStep_ = 0;
 
         for (std::size_t k = 0; k < order.size(); ++k) {
-            const std::size_t idx = order[k];
-            // Move the stager's prefetch cursor before the op runs:
-            // parked micro-batches whose backward falls inside the
-            // lookahead window get their fetches queued now.
-            if (stager_)
-                stager_->advance(k);
-            const PipeOp &op = sched_.ops[idx];
+            const PipeOp &op = sched_.ops[order[k]];
             const bool forward = op.kind == OpKind::Forward;
+            // Fetch staged activations just in time: a forward
+            // queues the fetch for the backward right after it, a
+            // backward fetches whatever of its own is not back yet.
+            if (stager_)
+                stager_->advance(k, forward);
             if (injector_) {
                 injector_->beforeOp(workerIdx_, op.pos, gstep,
                                     op.microBatch, forward,

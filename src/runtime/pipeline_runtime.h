@@ -121,10 +121,9 @@ struct RuntimeOptions
      * threads (itself included); 1 keeps backward fully inline on
      * the stage thread. The engine's deterministic reduction makes
      * losses bit-identical across every value of this knob, so it
-     * trades wall clock only — never reproducibility. With > 1,
-     * per-stage peakActivationFloats attribution drifts: helper
-     * threads charge their allocations to their own thread-local
-     * meters (process-wide peaks stay exact).
+     * trades wall clock only — never reproducibility. Helpers charge
+     * the stage worker's activation meter, so per-stage
+     * peakActivationFloats stays exact at any value.
      */
     int intraStageThreads = 1;
     /**
@@ -151,15 +150,16 @@ struct RuntimeOptions
     /**
      * Host staging (activation offload): any block flagged in
      * StageSpec::offload starts a per-worker HostStager that evicts
-     * the block's activations to host after forward and prefetches
-     * them back before backward, nearest backward first in the
-     * device order. A fetch that misses its deadline falls back to a
-     * recompute replay, so losses stay bit-identical to every other
-     * configuration. offloadSync runs transfers inline on the stage
-     * thread (deterministic byte counters; test/bench hook).
+     * the block's activations to host as soon as the block's forward
+     * ends and fetches them back just before the micro-batch's
+     * backward (see runtime/host_stager.h). A fetch that misses its
+     * deadline falls back to a recompute replay, so losses stay
+     * bit-identical to every other configuration. offloadSync runs
+     * transfers inline on the stage thread (deterministic byte
+     * counters and fetch timing; test/bench hook).
      */
     bool offloadSync = false;
-    /** Test hook: never prefetch, so every offloaded backward takes
+    /** Test hook: never fetch, so every offloaded backward takes
      *  the fetch-miss recompute fallback (combine with offloadSync
      *  for an exact miss count). */
     bool offloadForceMiss = false;
@@ -241,9 +241,10 @@ struct StageMetrics
      *  Replay warmed during the wait counts as compute, not wait. */
     double recvWaitSeconds = 0;
     /**
-     * Peak activation floats of the owning worker's thread;
-     * thread-level, so with virtualStages > 1 it is attributed to
-     * the worker's first chunk (chainPos < workers) and 0 elsewhere.
+     * Peak activation floats of the owning worker (its engine helpers
+     * and its host stager charge the worker's meter); worker-level,
+     * so with virtualStages > 1 it is attributed to the worker's
+     * first chunk (chainPos < workers) and 0 elsewhere.
      * replayOps / replaySeconds are exact per chunk.
      */
     std::int64_t peakActivationFloats = 0;

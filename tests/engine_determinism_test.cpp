@@ -6,8 +6,11 @@
  * EXPECT_EQ to the single-threaded reference; checkpoint replay
  * driven from inside a multi-threaded backward (with the replay
  * counters and spans checked for monotonicity across recompute
- * modes); and full pipeline training runs whose per-step losses must
- * be bit-identical at every intra-stage thread count.
+ * modes); the owning thread's activation meter, which must read the
+ * same at 4 workers as at 1 and stay below the forward's live set
+ * plus the parameter gradients during backward; and full pipeline
+ * training runs whose per-step losses must be bit-identical at every
+ * intra-stage thread count.
  *
  * Wide fan-out is the adversarial shape for a parallel reduction:
  * dozens of consumers finish in racy order and all deposit into one
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/checkpoint.h"
@@ -200,6 +204,90 @@ TEST(EngineDeterminism, CheckpointReplayUnderParallelBackward)
     EXPECT_EQ(replays_parallel[0], 0);
     EXPECT_GT(replays_parallel[1], 0);
     EXPECT_GE(replays_parallel[2], replays_parallel[1]);
+}
+
+/** One tiny-LM backward as its owning thread's meter sees it. */
+struct MeterProbe
+{
+    /** Floats live once the forward built the graph. */
+    std::int64_t liveAfterForward = 0;
+    /** Peak during backward, forward's live set included. */
+    std::int64_t backwardPeak = 0;
+    /** Floats live after the graph is dropped. */
+    std::int64_t liveAfterDrop = 0;
+    /** The model's parameter floats (= their gradients' floats). */
+    std::int64_t paramFloats = 0;
+};
+
+/**
+ * Forward one micro-batch of a 2-block tiny LM (dim 64, ffn 128,
+ * seq 32), run its backward on a @p threads-worker engine and drop
+ * the graph, all on a fresh thread, and read that thread's meter
+ * relative to where it started. The parameters are created on the
+ * caller, so their gradients, first allocated by this backward, are
+ * all the graph leaves behind.
+ */
+MeterProbe
+probeMeter(int threads)
+{
+    TinyLmConfig cfg;
+    cfg.dim = 64;
+    cfg.ffnHidden = 128;
+    cfg.maxSeq = 32;
+    cfg.blocks = 2;
+    const TinyLM model(cfg);
+    MeterProbe probe;
+    for (const Variable &p : model.params())
+        probe.paramFloats += p.value().numel();
+    std::thread owner([&] {
+        std::vector<int> tokens, targets;
+        makeBigramBatch(cfg.vocab, cfg.maxSeq, /*step=*/0, /*seed=*/3,
+                        tokens, targets);
+        BackwardEngine engine(EngineOptions{threads});
+        const std::int64_t base = threadLiveActivationFloats();
+        {
+            Variable loss = model.loss(tokens, targets, {});
+            probe.liveAfterForward = threadLiveActivationFloats() - base;
+            resetThreadActivationMeter();
+            engine.run(loss, Tensor::full({1}, 1.0f));
+            probe.backwardPeak = threadPeakActivationFloats() - base;
+        }
+        probe.liveAfterDrop = threadLiveActivationFloats() - base;
+    });
+    owner.join();
+    return probe;
+}
+
+TEST(EngineDeterminism, HelpersChargeTheGraphOwnersMeter)
+{
+    // Helpers adopt the run() caller's meter, so which worker ran
+    // which task never shows in the owner's counts: once the graph is
+    // dropped the owner holds exactly the parameter gradients, at any
+    // worker count.
+    const MeterProbe want = probeMeter(1);
+    EXPECT_EQ(want.liveAfterDrop, want.paramFloats);
+    for (int rep = 0; rep < 20; ++rep) {
+        const MeterProbe got = probeMeter(4);
+        EXPECT_EQ(got.liveAfterForward, want.liveAfterForward)
+            << "run " << rep;
+        EXPECT_EQ(got.liveAfterDrop, want.liveAfterDrop)
+            << "run " << rep;
+    }
+}
+
+TEST(EngineDeterminism, BackwardPeakBelowForwardLiveSetPlusParamGrads)
+{
+    // Every activation and its gradient die at their last backward
+    // reader, so backward never holds the forward's whole live set
+    // and every gradient at once. Keeping them all until the end
+    // would peak at the live set twice plus the parameter gradients.
+    for (const int threads : {1, 4}) {
+        const MeterProbe probe = probeMeter(threads);
+        EXPECT_GT(probe.liveAfterForward, 0);
+        EXPECT_LT(probe.backwardPeak,
+                  probe.liveAfterForward + probe.paramFloats)
+            << "threads " << threads;
+    }
 }
 
 TEST(EngineDeterminism, PipelineLossesBitIdenticalAcrossThreadCounts)

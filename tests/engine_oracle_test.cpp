@@ -18,13 +18,16 @@
  *
  * Graphs are rebuilt from the seed for every run: gradients
  * accumulate in place, so a fresh graph per run is what makes the
- * comparison exact rather than cumulative.
+ * comparison exact rather than cumulative. A backward also consumes
+ * its graph — every interior value and gradient is freed at its last
+ * reader — so a second backward always needs a graph of its own.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -52,10 +55,13 @@ struct RandomGraph
 /**
  * Deterministic graph from @p seed. Identical seeds produce
  * bit-identical values, topology and backward seed, so runs are
- * comparable across engines.
+ * comparable across engines. With @p reuse the graph is built on
+ * reuse's leaves instead (fresh ones are still drawn, so the rest of
+ * the stream is unchanged): a backward over it accumulates into the
+ * gradients those leaves already hold.
  */
 RandomGraph
-buildGraph(std::uint64_t seed)
+buildGraph(std::uint64_t seed, const RandomGraph *reuse = nullptr)
 {
     Rng rng(seed);
     RandomGraph g;
@@ -78,6 +84,11 @@ buildGraph(std::uint64_t seed)
                           true); // unused matrix leaf
     g.leaves.emplace_back(Tensor::randn({kDim}, rng, 0.5f),
                           true); // unused vector leaf
+    if (reuse) {
+        g.leaves = reuse->leaves;
+        pool.assign(g.leaves.begin(), g.leaves.begin() + 4);
+        vecs.assign(g.leaves.begin() + 4, g.leaves.begin() + 6);
+    }
 
     auto pick = [&]() -> Variable & {
         return pool[static_cast<std::size_t>(
@@ -211,19 +222,87 @@ TEST(EngineOracle, UnusedLeavesStayUnallocated)
 
 TEST(EngineOracle, RepeatedRunsAccumulateLikeReference)
 {
-    // Micro-batch accumulation: two backward passes through the same
-    // graph must add up to the same bits in either engine.
+    // Micro-batch accumulation: two backward passes, each over its
+    // own graph built on the same leaves, must add up to the same
+    // bits in either engine.
     const std::uint64_t seed = 9001;
     RandomGraph ref = buildGraph(seed);
     ref.root.backward(ref.seed);
-    ref.root.backward(ref.seed);
+    RandomGraph ref_again = buildGraph(seed, &ref);
+    ref_again.root.backward(ref_again.seed);
     const std::vector<GradSnapshot> want = snapshotGrads(ref);
 
     RandomGraph run = buildGraph(seed);
     BackwardEngine engine(EngineOptions{4});
     engine.run(run.root, run.seed);
-    engine.run(run.root, run.seed);
+    RandomGraph run_again = buildGraph(seed, &run);
+    engine.run(run_again.root, run_again.seed);
     expectSameGrads(snapshotGrads(run), want, "double run");
+}
+
+TEST(EngineOracle, BackwardFreesEveryInteriorNodeButTheRoot)
+{
+    // Each interior value and gradient dies at its last backward
+    // reader. Afterwards only the root and the leaves hold storage,
+    // and the process meter counts exactly what they hold.
+    for (int gi = 0; gi < kNumGraphs; ++gi) {
+        const std::uint64_t seed = 1000 + 17 * gi;
+        for (const int threads : kThreadCounts) {
+            const std::string label = "graph " + std::to_string(gi) +
+                                      " threads " +
+                                      std::to_string(threads);
+            const std::int64_t base = liveActivationFloats();
+            RandomGraph g = buildGraph(seed);
+            BackwardEngine engine(EngineOptions{threads});
+            engine.run(g.root, g.seed);
+
+            std::unordered_set<const Variable::Impl *> seen;
+            std::vector<const Variable::Impl *> stack{
+                g.root.impl().get()};
+            seen.insert(stack.back());
+            for (const Variable &leaf : g.leaves)
+                seen.insert(leaf.impl().get());
+            std::int64_t held = 0;
+            for (const Variable::Impl *node : seen)
+                held += node->value.numel() + node->grad.numel();
+            while (!stack.empty()) {
+                const Variable::Impl *node = stack.back();
+                stack.pop_back();
+                for (const auto &parent : node->parents) {
+                    if (!parent || !seen.insert(parent.get()).second)
+                        continue;
+                    stack.push_back(parent.get());
+                    ASSERT_FALSE(parent->isLeaf) << label;
+                    EXPECT_EQ(parent->value.numel(), 0) << label;
+                    EXPECT_EQ(parent->grad.numel(), 0) << label;
+                    EXPECT_TRUE(parent->consumed) << label;
+                }
+            }
+            EXPECT_GT(seen.size(), g.leaves.size() + 1) << label;
+            EXPECT_FALSE(g.root.impl()->consumed) << label;
+            EXPECT_TRUE(g.root.value().sameShape(g.seed)) << label;
+            EXPECT_TRUE(g.root.grad().sameShape(g.seed)) << label;
+            for (const Variable &leaf : g.leaves)
+                EXPECT_GT(leaf.value().numel(), 0) << label;
+            EXPECT_EQ(liveActivationFloats() - base, held) << label;
+        }
+    }
+}
+
+TEST(EngineOracleDeathTest, RerunningAConsumedGraphPanics)
+{
+    // A backward consumes its graph, like PyTorch's default
+    // retain_graph=False: a second backward over it stops with a
+    // diagnostic instead of reading freed storage, in either engine.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RandomGraph ref = buildGraph(9001);
+    ref.root.backward(ref.seed);
+    EXPECT_DEATH(ref.root.backward(ref.seed), "consumed graph");
+
+    RandomGraph run = buildGraph(9001);
+    BackwardEngine engine(EngineOptions{4});
+    engine.run(run.root, run.seed);
+    EXPECT_DEATH(engine.run(run.root, run.seed), "consumed graph");
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 /**
  * @file
  * End-to-end tests for the host-offload path: the offload counters
- * and the activation-memory saving, the OffloadOptions
+ * and the activation-memory saving, the stager charging its
+ * transfers to the stage worker's meter (also when the worker dies
+ * with transfers queued), the OffloadOptions
  * degenerate-parameter diagnostics, the planner producing tri-choice
  * plans on a tight-memory paper workload, and the plan -> StageSpec
  * offload decode driving the runtime. runtime_differential_test
@@ -14,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "autograd/checkpoint.h"
+#include "autograd/ops.h"
 #include "autograd/trainer.h"
 #include "core/plan_io.h"
 #include "core/planner.h"
@@ -23,6 +27,7 @@
 #include "model/model_config.h"
 #include "obs/registry.h"
 #include "robust/replan.h"
+#include "runtime/host_stager.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
@@ -96,6 +101,69 @@ TEST(OffloadCounters, TransfersAreCountedAndMemoryDrops)
     // The point of the exercise: device-resident activation peak
     // drops when interior activations live on the host.
     EXPECT_LT(peak_offload, peak_plain);
+}
+
+TEST(OffloadCounters, TransfersChargeTheStagersMeter)
+{
+    // Every transfer charges the meter the stager was given, not the
+    // meter of whichever thread runs it: here the eviction runs on
+    // the transfer thread and the backward's fetch inline on this
+    // thread, which charges its own meter otherwise.
+    autograd_detail::ActivationMeter stage;
+    Rng rng(5);
+    Variable w(Tensor::randn({8, 8}, rng, 0.3f), true);
+    Variable x(Tensor::randn({4, 8}, rng), true);
+    CheckpointCollector collector;
+    Variable out;
+    {
+        autograd_detail::AdoptMeter adopt(stage);
+        out = checkpointResident(
+            [&w](const Variable &in) {
+                return ops::gelu(ops::matmul(in, w));
+            },
+            x, {w});
+    }
+    std::vector<CheckpointHandle> handles = collector.take();
+    ASSERT_EQ(handles.size(), 1u);
+
+    const std::int64_t own = threadLiveActivationFloats();
+    const std::int64_t before = stage.live.load();
+    HostStager stager(HostStager::Options{}, stage);
+    stager.submitEvict(0, std::move(handles));
+    stager.drain();
+    const std::int64_t evicted = before - stage.live.load();
+    EXPECT_GT(evicted, 0);
+    EXPECT_EQ(static_cast<std::uint64_t>(evicted) * sizeof(float),
+              stager.bytesEvicted());
+    stager.advance(0, /*forward=*/false);
+    EXPECT_EQ(stage.live.load(), before);
+    EXPECT_EQ(stager.bytesFetched(), stager.bytesEvicted());
+    EXPECT_EQ(threadLiveActivationFloats(), own);
+}
+
+TEST(OffloadCounters, CrashWithTransfersQueuedUnwinds)
+{
+    // Worker 0 of a 2-stage run (device order F0 F1 B0 F2 B1 ...)
+    // throws just after queuing, at F2, the fetch for B1's staged
+    // block, so its transfer thread can still be running when the
+    // worker thread is gone. The transfers charge the worker object's
+    // meter, which outlives the stager, and the run ends with the
+    // crash diagnostic.
+    const TinyLmConfig cfg = smallConfig();
+    RuntimeOptions opts = smallOpts(2);
+    RuntimeFaultSpec faults;
+    faults.crash.worker = 0;
+    faults.crash.afterOps = 3;
+    opts.faults = &faults;
+    const auto specs = withAlternatingOffload(
+        evenStageSpecs(cfg.blocks, 2, BlockRecompute::None));
+    TinyLM model(cfg);
+    const RuntimeResult run = runPipeline(model, specs, opts);
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.error.find("worker 0"), std::string::npos)
+        << run.error;
+    EXPECT_NE(run.error.find("injected crash"), std::string::npos)
+        << run.error;
 }
 
 TEST(OffloadOptionsValidation, DegenerateParametersAreRejected)

@@ -166,24 +166,29 @@ TEST(PipelineRuntime, FirstStagePeaksAboveLast)
 {
     // Sec. 4.2: stage s keeps p - s micro-batches in flight under
     // 1F1B, so stage 0 holds the most activations and stage p-1 the
-    // fewest. The runtime measures per-thread, so the ordering of
-    // the memory model must show up in the measurements.
+    // fewest. The runtime measures per stage worker (its engine
+    // helpers charge the worker's meter), so the ordering of the
+    // memory model must show up in the measurements at any
+    // intra-stage thread count.
     const TinyLmConfig cfg = smallConfig();
-    const RuntimeOptions opts = smallOpts(3);
-    for (const int p : {2, 4}) {
-        ASSERT_GT(
-            MemoryModel::inflightMicroBatches(0, p,
-                                              opts.microBatches),
-            MemoryModel::inflightMicroBatches(p - 1, p,
-                                              opts.microBatches));
-        const auto specs =
-            evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
-        TinyLM model(cfg);
-        const RuntimeResult run = runPipeline(model, specs, opts);
-        ASSERT_EQ(run.stages.size(), static_cast<std::size_t>(p));
-        EXPECT_GT(run.stages.front().peakActivationFloats,
-                  run.stages.back().peakActivationFloats)
-            << "p=" << p;
+    RuntimeOptions opts = smallOpts(3);
+    for (const int threads : {1, 4}) {
+        opts.intraStageThreads = threads;
+        for (const int p : {2, 4}) {
+            ASSERT_GT(
+                MemoryModel::inflightMicroBatches(0, p,
+                                                  opts.microBatches),
+                MemoryModel::inflightMicroBatches(p - 1, p,
+                                                  opts.microBatches));
+            const auto specs =
+                evenStageSpecs(cfg.blocks, p, BlockRecompute::None);
+            TinyLM model(cfg);
+            const RuntimeResult run = runPipeline(model, specs, opts);
+            ASSERT_EQ(run.stages.size(), static_cast<std::size_t>(p));
+            EXPECT_GT(run.stages.front().peakActivationFloats,
+                      run.stages.back().peakActivationFloats)
+                << "p=" << p << " threads=" << threads;
+        }
     }
 }
 
