@@ -11,15 +11,16 @@
  *                               --model tiny-lm
  *   (default)                   plan in-process with --method
  *
- * The predicted-vs-measured table is sourced from the runtime's obs
- * registry: step time against the plan's Sec. 5.1 timing, per-stage
- * peak activation bytes against the plan's memory model.
+ * The per-stage table has a row per StageField, the list the gauges
+ * runtime.stage.<s>.<row> are set from, then the plan's predicted
+ * activation peak; below it, step time against the plan's timing.
  *
  * Usage:
  *   pipeline_training --stages 2 --steps 20 --micro-batches 4 \
  *       --method adapipe --seed 42
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -58,40 +59,36 @@ fmt(const char *format, double value)
 
 /**
  * Short per-stage summary of the block actions, e.g. "none x2" or
- * "offload,full"; a host-staged block reads "offload".
+ * "offload,full" (blockActionKey per block).
  */
 std::string
 actionLabel(const StageSpec &spec)
 {
     if (spec.numBlocks() == 0)
         return "-";
-    auto key = [&spec](std::size_t i) -> std::string {
-        if (i < spec.offload.size() && spec.offload[i])
-            return "offload";
-        for (const RecomputeStrategy &s : recomputeStrategyTable()) {
-            if (s.mode == spec.recompute[i])
-                return s.key;
-        }
-        return "?";
-    };
-    std::vector<std::string> keys;
-    for (std::size_t i = 0; i < spec.recompute.size(); ++i)
-        keys.push_back(key(i));
+    const std::string first = blockActionKey(spec, 0);
+    std::string joined = first;
     bool uniform = true;
-    for (const std::string &k : keys)
-        uniform = uniform && k == keys.front();
-    if (uniform) {
-        std::ostringstream oss;
-        oss << keys.front() << " x" << spec.numBlocks();
-        return oss.str();
+    for (int i = 1; i < spec.numBlocks(); ++i) {
+        const std::string key = blockActionKey(spec, i);
+        uniform = uniform && key == first;
+        joined += "," + key;
     }
-    std::string out;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (i)
-            out += ",";
-        out += keys[i];
-    }
-    return out;
+    return uniform ? first + " x" + std::to_string(spec.numBlocks())
+                   : joined;
+}
+
+/** One table cell in @p unit; floats print as bytes, next to the
+ *  plan's prediction. */
+std::string
+formatStageValue(StageUnit unit, double value)
+{
+    if (unit == StageUnit::Microseconds)
+        return formatSeconds(value * 1e-6);
+    if (unit == StageUnit::Count)
+        return fmt("%.0f", value);
+    const double scale = unit == StageUnit::Floats ? sizeof(float) : 1;
+    return formatBytes(static_cast<Bytes>(value * scale));
 }
 
 } // namespace
@@ -467,8 +464,8 @@ main(int argc, char **argv)
     // Predicted per-stage activation bytes: the plan's peak minus its
     // static (parameter/gradient/optimizer) part, which the runtime
     // meter does not count.
-    std::vector<double> predicted_act(
-        static_cast<std::size_t>(pf), -1.0);
+    std::vector<std::string> predicted = {"plan activation peak"};
+    predicted.resize(static_cast<std::size_t>(pf) + 1, "-");
     if (have_plan &&
         static_cast<int>(plan.stages.size()) == pf) {
         const ModelConfig model_cfg = tinyLmModelConfig(cfg);
@@ -482,27 +479,20 @@ main(int argc, char **argv)
             for (int l = sp.firstLayer; l <= sp.lastLayer; ++l)
                 params +=
                     layers[static_cast<std::size_t>(l)].params;
-            const double static_bytes = static_cast<double>(
-                mm.staticMemory(params).total());
-            predicted_act[static_cast<std::size_t>(s)] =
-                static_cast<double>(sp.memPeak) - static_bytes;
+            const double bytes =
+                static_cast<double>(sp.memPeak) -
+                static_cast<double>(mm.staticMemory(params).total());
+            if (bytes >= 0)
+                predicted[static_cast<std::size_t>(s) + 1] =
+                    formatBytes(static_cast<Bytes>(bytes));
         }
     }
 
     if (!cli.getFlag("quiet")) {
-        // Bwd comp and Replay are disjoint: the backward timer's
-        // replay share (lazy replays fire inside the engine) is
-        // metered out via the checkpoint.replay_us counter, and
-        // replay warmed inside recv/send waits (Hidden) never touches
-        // the backward timer at all.
-        Table table({"Stage", "Blocks", "Recompute", "Fwd",
-                     "Bwd comp", "Replay", "Hidden", "Blocked",
-                     "Waited", "Peak act (meas)", "Peak act (pred)"});
-        for (int s = 0; s < pf; ++s) {
-            const StageMetrics &sm =
-                run.stages[static_cast<std::size_t>(s)];
-            const StageSpec &spec =
-                specs[static_cast<std::size_t>(s)];
+        std::vector<std::string> header = {"Stage"};
+        std::vector<std::string> blocks = {"blocks"};
+        std::vector<std::string> actions = {"actions"};
+        for (const StageSpec &spec : specs) {
             std::ostringstream range;
             if (spec.numBlocks() > 0)
                 range << spec.firstBlock << "-" << spec.lastBlock;
@@ -512,23 +502,20 @@ main(int argc, char **argv)
                 range << " +emb";
             if (spec.head)
                 range << " +head";
-            const double measured_bytes =
-                static_cast<double>(sm.peakActivationFloats) * 4;
-            const double predicted =
-                predicted_act[static_cast<std::size_t>(s)];
-            table.addRow(
-                {std::to_string(s), range.str(),
-                 actionLabel(spec), formatSeconds(sm.fwdSeconds),
-                 formatSeconds(sm.bwdComputeSeconds()),
-                 formatSeconds(sm.replaySeconds),
-                 formatSeconds(sm.replayHiddenSeconds),
-                 formatSeconds(sm.sendBlockedSeconds),
-                 formatSeconds(sm.recvWaitSeconds),
-                 formatBytes(static_cast<Bytes>(measured_bytes)),
-                 predicted >= 0
-                     ? formatBytes(static_cast<Bytes>(predicted))
-                     : "-"});
+            header.push_back(std::to_string(header.size() - 1));
+            blocks.push_back(range.str());
+            actions.push_back(actionLabel(spec));
         }
+        Table table(header);
+        table.addRow(blocks);
+        table.addRow(actions);
+        for (const StageField &f : stageFields()) {
+            std::vector<std::string> row = {f.suffix};
+            for (const StageMetrics &sm : run.stages)
+                row.push_back(formatStageValue(f.unit, f.value(sm)));
+            table.addRow(std::move(row));
+        }
+        table.addRow(predicted);
         table.print(std::cout);
 
         std::cout << "\nmeasured step time "
@@ -573,19 +560,12 @@ main(int argc, char **argv)
             ref_opts.lr = opts.lr;
             ref_opts.dataSeed = opts.dataSeed;
             ref_opts.microBatches = opts.microBatches;
-            ref_opts.recompute.clear();
-            for (const StageSpec &spec : specs)
-                ref_opts.recompute.insert(ref_opts.recompute.end(),
-                                          spec.recompute.begin(),
-                                          spec.recompute.end());
+            ref_opts.recompute = referenceRecompute(specs);
             const TrainStats ref_stats = trainTinyLM(ref, ref_opts);
             double max_delta = 0;
-            for (std::size_t i = 0; i < losses.size(); ++i) {
-                const double delta =
-                    std::abs(losses[i] - ref_stats.losses[i]);
-                if (delta > max_delta)
-                    max_delta = delta;
-            }
+            for (std::size_t i = 0; i < losses.size(); ++i)
+                max_delta = std::max(
+                    max_delta, std::abs(losses[i] - ref_stats.losses[i]));
             std::cout
                 << "reference (single-threaded) max loss delta "
                 << fmt("%.3g", max_delta) << " over "

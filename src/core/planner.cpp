@@ -96,27 +96,6 @@ makePlan(const ProfiledModel &pm, PlanMethod method,
     StageCostCalculator calc(pm, p, n, opts);
     PlanResult result;
 
-#if ADAPIPE_OBS_ENABLED
-    // The calculator tracks hits/misses itself (its lookup path is
-    // too hot for per-call instrumentation); flush the totals on
-    // every exit from this function.
-    struct FlushStageCostStats
-    {
-        const StageCostCalculator &calc;
-        ~FlushStageCostStats()
-        {
-            ADAPIPE_OBS_COUNT("stage_cost.cache_hits",
-                              calc.cacheHits());
-            ADAPIPE_OBS_COUNT("stage_cost.evaluations",
-                              calc.evaluations());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_hits",
-                              calc.memoHits());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_misses",
-                              calc.memoMisses());
-        }
-    } flush_stats{calc};
-#endif
-
     if (method == PlanMethod::AdaPipe) {
         const PartitionDpResult dp =
             solveAdaptivePartition(calc, L, p, n);

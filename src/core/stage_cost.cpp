@@ -41,6 +41,14 @@ StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
     }
 }
 
+StageCostCalculator::~StageCostCalculator()
+{
+    ADAPIPE_OBS_COUNT("stage_cost.evaluations", evaluations());
+    ADAPIPE_OBS_COUNT("stage_cost.cache_hits", cache_hits_);
+    ADAPIPE_OBS_COUNT("stage_cost.memo_hits", memo_hits_);
+    ADAPIPE_OBS_COUNT("stage_cost.memo_misses", memo_misses_);
+}
+
 Bytes
 StageCostCalculator::capacity() const
 {
@@ -120,8 +128,8 @@ StageCostCalculator::cost(int s, int i, int j)
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         // Hot path: millions of lookups per sweep. Hits/misses are
-        // tracked in members and flushed to the obs registry once per
-        // plan (planner.cpp), never from here.
+        // tracked in members and flushed to the obs registry once,
+        // by the destructor, never from here.
         ++cache_hits_;
         return it->second;
     }
@@ -195,7 +203,7 @@ void
 StageCostCalculator::addStageOverheads(int s, int i, Seconds &fwd,
                                        Seconds &bwd) const
 {
-    if (opts_.includeP2p && i > 0) {
+    if (i > 0) {
         fwd += pm_.p2pTime;
         bwd += pm_.p2pTime;
     }
@@ -395,7 +403,7 @@ StageCostCalculator::baselineCost(int s, int i, int j,
     result.recompute.savedBytes = saved_per_mb;
     result.feasible = result.memPeak <= capacity();
 
-    if (opts_.includeP2p && i > 0) {
+    if (i > 0) {
         result.fwd += pm_.p2pTime;
         result.bwd += pm_.p2pTime;
     }

@@ -123,8 +123,6 @@ struct StageCostOptions
      * sets the DP constraint conservatively, e.g. 70 of 80 GB).
      */
     double memBudgetFraction = 0.875;
-    /** Charge the inter-stage P2P transfer to F_s and B_s. */
-    bool includeP2p = true;
     /** Exploit range isomorphism (Sec. 5.3); off for the ablation. */
     bool useIsomorphism = true;
     /** Knapsack solver knobs. */
@@ -199,6 +197,13 @@ class StageCostCalculator
     StageCostCalculator(const ProfiledModel &pm, int p, int n,
                         StageCostOptions opts = {});
 
+    /** Adds the stage_cost.* totals to the obs registry installed on
+     *  the destroying thread, once (cost() is too hot to count). */
+    ~StageCostCalculator();
+
+    StageCostCalculator(const StageCostCalculator &) = delete;
+    StageCostCalculator &operator=(const StageCostCalculator &) = delete;
+
     /**
      * Adaptive-recomputation cost of layers [i, j] as stage s
      * (memoised).
@@ -236,12 +241,6 @@ class StageCostCalculator
 
     /** @return memoised lookups that hit the isomorphism cache. */
     std::size_t cacheHits() const { return cache_hits_; }
-
-    /** @return knapsacks answered by the shared cross-request memo. */
-    std::size_t memoHits() const { return memo_hits_; }
-
-    /** @return knapsacks the shared memo had to solve fresh. */
-    std::size_t memoMisses() const { return memo_misses_; }
 
     /** @return distinct stage costs computed (cache misses). */
     std::size_t evaluations() const { return cache_.size(); }

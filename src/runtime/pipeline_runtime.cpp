@@ -649,39 +649,12 @@ void
 StageWorker::flushGauges()
 {
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        const StageMetrics &m = chunks_[c].metrics;
         std::string prefix =
             "runtime.stage." + std::to_string(workerIdx_) + ".";
         if (chunks_.size() > 1)
             prefix += "chunk." + std::to_string(c) + ".";
-        registry_.set(prefix + "fwd_us", m.fwdSeconds * 1e6);
-        registry_.set(prefix + "bwd_us", m.bwdSeconds * 1e6);
-        // Backward compute and replay, disjointly: bwd_us contains
-        // the lazy (critical-path) replay time, so the corrected
-        // compute figure subtracts it back out.
-        registry_.set(prefix + "bwd_compute_us",
-                      m.bwdComputeSeconds() * 1e6);
-        registry_.set(prefix + "send_blocked_us",
-                      m.sendBlockedSeconds * 1e6);
-        registry_.set(prefix + "recv_wait_us",
-                      m.recvWaitSeconds * 1e6);
-        registry_.set(prefix + "peak_activation_floats",
-                      static_cast<double>(m.peakActivationFloats));
-        registry_.set(prefix + "replay_us", m.replaySeconds * 1e6);
-        registry_.set(prefix + "replay_hidden_us",
-                      m.replayHiddenSeconds * 1e6);
-        registry_.set(prefix + "replay_critical_us",
-                      m.replayCriticalSeconds() * 1e6);
-        registry_.set(prefix + "offload_evictions",
-                      static_cast<double>(m.offloadEvictions));
-        registry_.set(prefix + "offload_fetches",
-                      static_cast<double>(m.offloadFetches));
-        registry_.set(prefix + "offload_fetch_misses",
-                      static_cast<double>(m.offloadFetchMisses));
-        registry_.set(prefix + "offload_bytes_evicted",
-                      static_cast<double>(m.offloadBytesEvicted));
-        registry_.set(prefix + "num_blocks",
-                      static_cast<double>(chunks_[c].spec->numBlocks()));
+        for (const StageField &f : stageFields())
+            registry_.set(prefix + f.suffix, f.value(chunks_[c].metrics));
     }
 }
 
@@ -962,6 +935,72 @@ validateSpecs(const TinyLM &model, const std::vector<StageSpec> &specs)
 
 } // namespace
 
+std::span<const StageField>
+stageFields()
+{
+    using M = const StageMetrics &;
+    using U = StageUnit;
+    static constexpr StageField kFields[] = {
+        {"num_blocks", U::Count,
+         [](M m) { return static_cast<double>(m.numBlocks()); }},
+        {"fwd_us", U::Microseconds, [](M m) { return m.fwdSeconds * 1e6; }},
+        {"bwd_us", U::Microseconds, [](M m) { return m.bwdSeconds * 1e6; }},
+        {"bwd_compute_us", U::Microseconds,
+         [](M m) { return m.bwdComputeSeconds() * 1e6; }},
+        {"replay_us", U::Microseconds,
+         [](M m) { return m.replaySeconds * 1e6; }},
+        {"replay_hidden_us", U::Microseconds,
+         [](M m) { return m.replayHiddenSeconds * 1e6; }},
+        {"replay_critical_us", U::Microseconds,
+         [](M m) { return m.replayCriticalSeconds() * 1e6; }},
+        {"send_blocked_us", U::Microseconds,
+         [](M m) { return m.sendBlockedSeconds * 1e6; }},
+        {"recv_wait_us", U::Microseconds,
+         [](M m) { return m.recvWaitSeconds * 1e6; }},
+        {"peak_activation_floats", U::Floats,
+         [](M m) { return static_cast<double>(m.peakActivationFloats); }},
+        {"offload_evictions", U::Count,
+         [](M m) { return static_cast<double>(m.offloadEvictions); }},
+        {"offload_fetches", U::Count,
+         [](M m) { return static_cast<double>(m.offloadFetches); }},
+        {"offload_fetch_misses", U::Count,
+         [](M m) { return static_cast<double>(m.offloadFetchMisses); }},
+        {"offload_bytes_evicted", U::Bytes,
+         [](M m) { return static_cast<double>(m.offloadBytesEvicted); }},
+    };
+    return kFields;
+}
+
+const char *
+blockActionKey(const StageSpec &spec, int i)
+{
+    const auto b = static_cast<std::size_t>(i);
+    if (b < spec.offload.size() && spec.offload[b])
+        return "offload";
+    const BlockRecompute mode =
+        b < spec.recompute.size() ? spec.recompute[b] : BlockRecompute::None;
+    for (const RecomputeStrategy &s : recomputeStrategyTable()) {
+        if (s.mode == mode)
+            return s.key;
+    }
+    ADAPIPE_PANIC("recompute mode missing from the strategy table");
+}
+
+std::vector<BlockRecompute>
+referenceRecompute(const std::vector<StageSpec> &specs)
+{
+    std::vector<BlockRecompute> modes;
+    for (const StageSpec &spec : specs) {
+        for (int i = 0; i < spec.numBlocks(); ++i) {
+            // "offload" names no strategy, so it maps to None.
+            const RecomputeStrategy *s =
+                findRecomputeStrategy(blockActionKey(spec, i));
+            modes.push_back(s ? s->mode : BlockRecompute::None);
+        }
+    }
+    return modes;
+}
+
 std::vector<StageSpec>
 evenStageSpecs(int num_blocks, int num_stages, BlockRecompute mode)
 {
@@ -1027,11 +1066,6 @@ runPipeline(TinyLM &model, const std::vector<StageSpec> &stages,
         return invalid("snapshot: every must be >= 0");
     if (opts.snapshot.every > 0 && opts.snapshot.path.empty())
         return invalid("snapshot: every is set but path is empty");
-    if (opts.restore && opts.restore->optimizer != "adam") {
-        return invalid("restore: run uses adam but the snapshot "
-                       "carries '" +
-                       opts.restore->optimizer + "' state");
-    }
     if (opts.restore) {
         const ParseStatus restored =
             restoreTinyLM(model, *opts.restore);

@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "autograd/module.h"
@@ -81,6 +82,17 @@ struct StageSpec
         return lastBlock < firstBlock ? 0 : lastBlock - firstBlock + 1;
     }
 };
+
+/** @return owned block @p i's action: "offload" when host-staged,
+ *  else its recomputeStrategyTable() key ("none" where an empty
+ *  recompute vector leaves it uncovered). */
+const char *blockActionKey(const StageSpec &spec, int i);
+
+/** @return the per-block modes (chain order) under which trainTinyLM
+ *  reproduces a run of @p specs bit for bit: a host-staged block
+ *  computes a kept block's floats, so it maps to None. */
+std::vector<BlockRecompute>
+referenceRecompute(const std::vector<StageSpec> &specs);
 
 /** Runtime execution options. */
 struct RuntimeOptions
@@ -286,7 +298,27 @@ struct StageMetrics
     {
         return std::max(0.0, bwdSeconds - replayCriticalSeconds());
     }
+
+    /** @return number of owned blocks. */
+    int numBlocks() const { return std::max(0, lastBlock - firstBlock + 1); }
 };
+
+/** Unit of a per-stage measurement; Floats are activation floats. */
+enum class StageUnit { Microseconds, Floats, Bytes, Count };
+
+/** One per-stage measurement: the gauge
+ *  "runtime.stage.<s>[.chunk.<c>].<suffix>" and the row of that name
+ *  in pipeline_training's table, both read through @ref value. */
+struct StageField
+{
+    const char *suffix;
+    StageUnit unit;
+    double (*value)(const StageMetrics &);
+};
+
+/** @return every per-stage measurement, in table order. A new one is
+ *  one more entry here plus its row in docs/observability.md. */
+std::span<const StageField> stageFields();
 
 /** Result of one pipeline training run. */
 struct RuntimeResult

@@ -175,7 +175,7 @@ snapshotToBytes(const TrainingSnapshot &snap)
     header.set("data_seed",
                JsonValue::integer(
                    static_cast<std::int64_t>(snap.dataSeed)));
-    header.set("optimizer", JsonValue::string(snap.optimizer));
+    header.set("optimizer", JsonValue::string("adam"));
     header.set("adam_t", JsonValue::integer(snap.adamT));
     header.set("model", modelConfigToJson(snap.config));
     header.set("params", shapesToJson(snap.params));
@@ -260,11 +260,12 @@ snapshotFromBytes(const std::string &bytes)
                 root.key("step").fail("step must be >= 0");
             snap.dataSeed = static_cast<std::uint64_t>(
                 root.key("data_seed").asInteger());
-            snap.optimizer = root.key("optimizer").asString();
-            if (snap.optimizer != "adam" && snap.optimizer != "sgd")
+            const std::string optimizer =
+                root.key("optimizer").asString();
+            if (optimizer != "adam")
                 root.key("optimizer")
-                    .fail("unknown optimizer '" + snap.optimizer +
-                          "'");
+                    .fail("unsupported optimizer '" + optimizer +
+                          "' (snapshots hold adam state)");
             snap.adamT = static_cast<int>(
                 root.key("adam_t").asInteger());
             if (snap.adamT < 0)
@@ -283,8 +284,7 @@ snapshotFromBytes(const std::string &bytes)
             if (snap.adamM.size() != snap.adamV.size())
                 root.key("adam_v")
                     .fail("adam_m/adam_v count mismatch");
-            if (!snap.adamM.empty() &&
-                snap.adamM.size() != snap.params.size())
+            if (snap.adamM.size() != snap.params.size())
                 root.key("adam_m")
                     .fail("moment count does not match parameter "
                           "count");
@@ -462,11 +462,6 @@ ParseStatus
 restoreAdamState(Adam &adam, const TinyLM &model,
                  const TrainingSnapshot &snap)
 {
-    if (snap.optimizer != "adam" || snap.adamM.empty()) {
-        return ParseStatus::failure(
-            "snapshot carries no adam state (optimizer '" +
-            snap.optimizer + "')");
-    }
     const std::vector<Variable> params = model.params();
     if (snap.adamM.size() != params.size()) {
         return ParseStatus::failure(

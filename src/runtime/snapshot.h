@@ -60,15 +60,13 @@ struct TrainingSnapshot
     std::int64_t step = 0;
     /** Seed of the bigram data stream. */
     std::uint64_t dataSeed = 0;
-    /** "adam" or "sgd". */
-    std::string optimizer = "adam";
-    /** Adam bias-correction step counter (0 for sgd). */
+    /** Adam bias-correction step counter. */
     int adamT = 0;
     /** Parameter values in canonical TinyLM::params() order. */
     std::vector<Tensor> params;
-    /** Adam first moments, same order (empty for sgd). */
+    /** Adam first moments, same order. */
     std::vector<Tensor> adamM;
-    /** Adam second moments, same order (empty for sgd). */
+    /** Adam second moments, same order. */
     std::vector<Tensor> adamV;
 };
 
@@ -76,10 +74,10 @@ struct TrainingSnapshot
 std::string snapshotToBytes(const TrainingSnapshot &snap);
 
 /**
- * Parse snapshot bytes. Truncation, version skew, malformed or
- * duplicate-key headers, shape/blob-length mismatches and checksum
- * failures all come back as errors naming the offending field —
- * never a crash, never silently loaded garbage.
+ * Parse snapshot bytes. Truncation, version skew, an optimizer other
+ * than adam, malformed or duplicate-key headers, shape/blob-length
+ * mismatches and checksum failures all come back as errors naming the
+ * offending field — never a crash, never silently loaded garbage.
  */
 ParseResult<TrainingSnapshot>
 snapshotFromBytes(const std::string &bytes);

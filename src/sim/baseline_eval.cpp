@@ -53,8 +53,9 @@ simulatePlan(const ProfiledModel &pm, const PipelinePlan &plan)
         times.push_back({sp.timeFwd, sp.timeBwd});
 
     // P2P time is already charged inside the stage times by the
-    // planner (StageCostOptions::includeP2p), so the simulator runs
-    // with zero transfer cost to avoid double counting.
+    // planner (StageCostCalculator, every stage but the first), so
+    // the simulator runs with zero transfer cost to avoid double
+    // counting.
     const SimResult sim =
         simulate(build1F1B(p, plan.microBatches), times, {});
 

@@ -83,24 +83,6 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
 
     StageCostCalculator calc(pm, chunks, n, chunk_opts);
 
-#if ADAPIPE_OBS_ENABLED
-    struct FlushStageCostStats
-    {
-        const StageCostCalculator &calc;
-        ~FlushStageCostStats()
-        {
-            ADAPIPE_OBS_COUNT("stage_cost.cache_hits",
-                              calc.cacheHits());
-            ADAPIPE_OBS_COUNT("stage_cost.evaluations",
-                              calc.evaluations());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_hits",
-                              calc.memoHits());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_misses",
-                              calc.memoMisses());
-        }
-    } flush_stats{calc};
-#endif
-
     std::optional<RecomputeBaseline> baseline;
     if (method == PlanMethod::DappleFull)
         baseline = RecomputeBaseline::Full;
@@ -190,8 +172,8 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
         }
     }
 
-    // P2P is already charged inside the stage times (includeP2p), so
-    // the simulator runs with zero transfer cost; warmup/ending have
+    // P2P is already charged inside the stage times (every stage but
+    // the first), so the simulator runs with zero transfer cost; warmup/ending have
     // no closed form for the interleaved schedule and are folded
     // into total.
     const SimResult sim = simulate(schedule, times, {});

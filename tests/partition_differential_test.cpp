@@ -149,11 +149,14 @@ struct SearchConfig
     int p = 1;
     int n = 1;
     int seq = 0;
+    /** Charge P2P; false zeroes the profile's p2pTime. */
+    bool p2p = true;
     StageCostOptions opts;
 
-    /** @return the configuration on one line. */
+    /** @return the configuration, with the profile's P2P time
+     *  @p p2p_time, on one line. */
     std::string
-    describe() const
+    describe(Seconds p2p_time) const
     {
         std::ostringstream os;
         os << "seed=" << seed << " model=" << preset
@@ -161,7 +164,7 @@ struct SearchConfig
            << " p=" << p << " n=" << n << " seq=" << seq
            << " cap=" << opts.memCapacityOverride
            << " frac=" << opts.memBudgetFraction
-           << " p2p=" << opts.includeP2p
+           << " p2p_time=" << p2p_time
            << " iso=" << opts.useIsomorphism
            << " buckets=" << opts.dp.maxBuckets
            << " gcd=" << opts.dp.useGcd
@@ -232,7 +235,7 @@ drawConfig(std::uint64_t seed)
     c.seq = seqs[rng.uniformInt(c.preset == "tiny-test" ? 0 : 1, 4)];
 
     StageCostOptions &o = c.opts;
-    o.includeP2p = rng.uniform() < 0.5;
+    c.p2p = rng.uniform() < 0.5;
     o.useIsomorphism = rng.uniform() < 0.85;
     static const int buckets[] = {64, 256, 1024};
     o.dp.maxBuckets = buckets[rng.uniformInt(0, 2)];
@@ -321,8 +324,12 @@ TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
     int deep = 0;
     for (std::uint64_t seed = 1; seed <= kConfigs; ++seed) {
         const SearchConfig c = drawConfig(seed);
-        const std::string repro = c.describe();
-        const ProfiledModel pm = profile(c);
+        ProfiledModel pm = profile(c);
+        // Adding +0.0 to a non-negative time changes no bit, so a
+        // zero P2P time is exactly a stage cost without P2P.
+        if (!c.p2p)
+            pm.p2pTime = 0;
+        const std::string repro = c.describe(pm.p2pTime);
         const int L = pm.numLayers();
 
         StageCostCalculator ref_calc(pm, c.p, c.n, c.opts);
@@ -356,7 +363,7 @@ TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
         bubble += !c.opts.overlapBubblePerMb.empty();
         inflight += !c.opts.inflightOverride.empty();
         offload += c.opts.offload.enabled;
-        no_p2p += !c.opts.includeP2p;
+        no_p2p += !c.p2p;
         deep += c.p >= 5;
     }
     // The draw must actually straddle every regime and knob.
@@ -414,8 +421,8 @@ TEST(PartitionDifferential, EqualFloorAtSmallerSplitIsSolved)
         pm.rawLayers[l].units = {raw};
     }
     pm.stageInputBytes = 0;
+    pm.p2pTime = 0;
     StageCostOptions opts;
-    opts.includeP2p = false;
     opts.memBudgetFraction = 1.0;
     // Stage 0 holds two micro-batches: split j = 2 needs 10M saved
     // (no fast path) and gets (8M - 3M buffer) / 2 = 2.5M per

@@ -228,7 +228,6 @@ TEST(Snapshot, BytesRoundTripBitExact)
     EXPECT_EQ(snap.version, 1);
     EXPECT_EQ(snap.step, opts.steps);
     EXPECT_EQ(snap.dataSeed, opts.dataSeed);
-    EXPECT_EQ(snap.optimizer, "adam");
     EXPECT_EQ(snap.adamT, opts.steps);
     EXPECT_EQ(snap.config.dim, cfg.dim);
     EXPECT_EQ(snap.config.blocks, cfg.blocks);
@@ -254,6 +253,36 @@ TEST(Snapshot, BytesRoundTripBitExact)
     // Crash consistency: the tmp staging file never survives.
     EXPECT_FALSE(readTextFile(path + ".tmp").ok());
     std::remove(path.c_str());
+}
+
+/**
+ * Snapshots hold Adam state only: a header naming any other optimizer
+ * fails to parse, with the field's path in the diagnostic.
+ */
+TEST(Snapshot, SgdHeaderIsRejectedAtParse)
+{
+    const TinyLM model(smallConfig());
+    const std::string bytes = snapshotToBytes(
+        captureTrainingSnapshot(model, {}, /*step=*/0, /*data_seed=*/7));
+    // ADAPIPESNAP1\n<header_len>\n<header><blob>
+    const std::size_t len_begin = bytes.find('\n') + 1;
+    const std::size_t len_end = bytes.find('\n', len_begin);
+    const std::size_t header_len = static_cast<std::size_t>(
+        std::stoul(bytes.substr(len_begin, len_end - len_begin)));
+    std::string header = bytes.substr(len_end + 1, header_len);
+    const std::string blob = bytes.substr(len_end + 1 + header_len);
+    const std::string adam = "\"optimizer\":\"adam\"";
+    const std::size_t at = header.find(adam);
+    ASSERT_NE(at, std::string::npos) << header;
+    header.replace(at, adam.size(), "\"optimizer\":\"sgd\"");
+
+    const auto r = snapshotFromBytes(bytes.substr(0, len_begin) +
+                                     std::to_string(header.size()) +
+                                     "\n" + header + blob);
+    ASSERT_FALSE(r.ok()) << "an sgd snapshot parsed";
+    EXPECT_NE(r.error().find("snapshot.optimizer"), std::string::npos)
+        << r.error();
+    EXPECT_NE(r.error().find("'sgd'"), std::string::npos) << r.error();
 }
 
 /**

@@ -44,9 +44,9 @@ smallOpts(int steps)
     return opts;
 }
 
-/** Single-threaded reference over the identical data stream. An
- *  offloaded block contributes its spec'd recompute mode: host
- *  staging never changes the math, only where bytes live. */
+/** Single-threaded reference over the identical data stream, run
+ *  under referenceRecompute(specs): host staging never changes the
+ *  math, only where bytes live. */
 inline std::vector<double>
 referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
                 const std::vector<StageSpec> &specs)
@@ -58,10 +58,7 @@ referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
     ref.lr = opts.lr;
     ref.dataSeed = opts.dataSeed;
     ref.microBatches = opts.microBatches;
-    for (const StageSpec &spec : specs)
-        ref.recompute.insert(ref.recompute.end(),
-                             spec.recompute.begin(),
-                             spec.recompute.end());
+    ref.recompute = referenceRecompute(specs);
     return trainTinyLM(model, ref).losses;
 }
 

@@ -87,12 +87,10 @@ TEST(StageCost, InflightCappedByMicroBatches)
 TEST(StageCost, P2pChargedToInteriorStagesOnly)
 {
     const ProfiledModel pm = makePm(gpt3_13b(), 8, 4096, GiB(400));
-    StageCostOptions with;
-    with.includeP2p = true;
-    StageCostOptions without;
-    without.includeP2p = false;
-    StageCostCalculator c1(pm, 4, 32, with);
-    StageCostCalculator c2(pm, 4, 32, without);
+    ProfiledModel no_p2p = pm;
+    no_p2p.p2pTime = 0;
+    StageCostCalculator c1(pm, 4, 32);
+    StageCostCalculator c2(no_p2p, 4, 32);
 
     // Stage 0 (contains layer 0) receives token ids, not a tensor.
     EXPECT_NEAR(c1.cost(0, 0, 10).fwd, c2.cost(0, 0, 10).fwd, 1e-12);
