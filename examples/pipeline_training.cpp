@@ -163,6 +163,11 @@ main(int argc, char **argv)
     cli.addFlag("quiet", "suppress the tables");
     cli.parse(argc, argv);
 
+    // One registry observes the in-process plan, the run and any
+    // recovery replan; --metrics-out writes it at the end.
+    obs::Registry metrics;
+    obs::ScopedRegistry obs_scope(&metrics);
+
     TinyLmConfig cfg;
     cfg.vocab = static_cast<int>(cli.getInt("vocab"));
     cfg.dim = static_cast<int>(cli.getInt("dim"));
@@ -390,7 +395,6 @@ main(int argc, char **argv)
                   << opts.firstStep << "\n";
     }
 
-    obs::Registry metrics;
     RuntimeResult run;
     std::vector<double> losses;
     std::vector<RecoveryAttempt> attempts;
@@ -553,6 +557,9 @@ main(int argc, char **argv)
                          "resumed at step "
                       << opts.firstStep << "\n";
         } else {
+            // The reference trainer's engine, pool and checkpoint
+            // counts are not the pipeline run's.
+            obs::ScopedRegistry ref_scope(nullptr);
             TinyLM ref(cfg); // same seed: identical initialisation
             TrainOptions ref_opts;
             ref_opts.steps = opts.steps;

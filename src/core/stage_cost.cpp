@@ -1,6 +1,7 @@
 #include "core/stage_cost.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/knapsack_memo.h"
 #include "obs/macros.h"
@@ -18,16 +19,10 @@ StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
     ADAPIPE_ASSERT(opts_.memBudgetFraction > 0 &&
                        opts_.memBudgetFraction <= 1.0,
                    "memBudgetFraction out of (0, 1]");
-    for (double f : opts_.stageTimeFactor) {
+    for (double f : opts_.stageTimeFactor)
         ADAPIPE_ASSERT(f > 0, "stage time factor must be positive");
-        if (f != 1.0)
-            neutral_factors_ = false;
-    }
-    for (Seconds b : opts_.overlapBubblePerMb) {
+    for (Seconds b : opts_.overlapBubblePerMb)
         ADAPIPE_ASSERT(b >= 0, "overlap bubble must be >= 0, got ", b);
-        if (b != 0)
-            neutral_bubbles_ = false;
-    }
     for (int m : opts_.inflightOverride)
         ADAPIPE_ASSERT(m >= 1, "in-flight override must be >= 1, got ",
                        m);
@@ -38,6 +33,20 @@ StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
         // overlapFraction > 1 a negative penalty).
         const std::string err = opts_.offload.validate();
         ADAPIPE_ASSERT(err.empty(), "offload options: ", err);
+    }
+    // A stage reaches a range's cost only through its in-flight
+    // count, time factor and bubble; its class is the first stage
+    // with the same three (doubles by bit pattern, as KnapsackMemo).
+    const auto stage_values = [this](int s) {
+        return std::tuple{inflight(s),
+                          std::bit_cast<std::uint64_t>(timeFactor(s)),
+                          std::bit_cast<std::uint64_t>(overlapBubble(s))};
+    };
+    for (int s = 0; s < p_; ++s) {
+        int first = 0;
+        while (stage_values(first) != stage_values(s))
+            ++first;
+        stage_class_.push_back(first);
     }
 }
 
@@ -93,14 +102,11 @@ StageCostCalculator::cacheKey(int s, int i, int j) const
     const int first_kind =
         static_cast<int>(pm_.layers[std::min(i, pm_.numLayers() - 1)]
                              .kind);
-    // Heterogeneous stage-time factors or per-stage bubble budgets
-    // break the isomorphism: the same range costs differently on a
-    // straggling stage / a stage with a different replay bubble.
-    if (opts_.useIsomorphism && neutral_factors_ && neutral_bubbles_)
-        return {inflight(s), has_embed, has_head, j - i, first_kind};
+    if (opts_.useIsomorphism)
+        return {stage_class_[s], has_embed, has_head, j - i, first_kind};
     // Degenerate key: every (s, i, j) is distinct.
     return {s * (pm_.numLayers() + 1) + i, has_embed, has_head, j - i,
-            first_kind + 1000};
+            first_kind};
 }
 
 StageCostCalculator::MemoryBreakdown
@@ -403,16 +409,10 @@ StageCostCalculator::baselineCost(int s, int i, int j,
     result.recompute.savedBytes = saved_per_mb;
     result.feasible = result.memPeak <= capacity();
 
-    if (i > 0) {
-        result.fwd += pm_.p2pTime;
-        result.bwd += pm_.p2pTime;
-    }
+    addStageOverheads(s, i, result.fwd, result.bwd);
     const double factor = timeFactor(s);
-    if (factor != 1.0) {
-        result.fwd *= factor;
-        result.bwd *= factor;
+    if (factor != 1.0)
         result.replayCritical *= factor;
-    }
     return result;
 }
 

@@ -11,9 +11,10 @@
  *
  * Isomorphism: two layer ranges with the same length, the same first
  * layer kind and the same boundary content (embedding / decoding
- * head) have identical cost tables for the same in-flight count, so
- * results are memoised under that key, reducing knapsack executions
- * from O(p L^2) to O(p L).
+ * head) have identical cost tables on stages with the same in-flight
+ * count, stage-time factor and overlap bubble, so results are
+ * memoised under that key, reducing knapsack executions from
+ * O(p L^2) to O(p L), for straggler and overlapped plans too.
  *
  * Floors: costFloor() bounds cost() from below without a knapsack.
  * Feasibility and the forward time are exact; the backward time
@@ -142,8 +143,7 @@ struct StageCostOptions
      * every stage runs at factor 1; stages beyond the vector default
      * to 1. The factor scales the final F_s and B_s (including P2P),
      * so planned times relate to healthy times by exactly this
-     * factor. Any entry != 1 disables the isomorphism cache — costs
-     * are no longer position-independent.
+     * factor. The isomorphism cache keys by the factor's value.
      */
     std::vector<double> stageTimeFactor;
     /**
@@ -174,9 +174,9 @@ struct StageCostOptions
      * seconds available *per micro-batch* for hiding checkpoint
      * replay inside recv/send waits (derived from the event
      * simulator's per-device bubble time). Empty disables the
-     * discount; stages beyond the vector get 0. Any entry != 0
-     * disables the isomorphism cache — the same layer range then
-     * costs differently on stages with different bubbles (see
+     * discount; stages beyond the vector get 0. The isomorphism
+     * cache keys by the bubble's value: the same layer range costs
+     * differently on stages with different bubbles (see
      * RecomputeDpOptions::overlapBubble for the objective change).
      */
     std::vector<Seconds> overlapBubblePerMb;
@@ -300,6 +300,8 @@ class StageCostCalculator
     void addStageOverheads(int s, int i, Seconds &fwd,
                            Seconds &bwd) const;
 
+    /** (stage class, embed, head, length, first kind); with
+     *  useIsomorphism off the first field is unique per (s, i). */
     using Key = std::tuple<int, bool, bool, int, int>;
     Key cacheKey(int s, int i, int j) const;
 
@@ -314,10 +316,8 @@ class StageCostCalculator
     std::size_t cache_hits_ = 0;
     std::size_t memo_hits_ = 0;
     std::size_t memo_misses_ = 0;
-    /** True while every stage-time factor is exactly 1. */
-    bool neutral_factors_ = true;
-    /** True while every per-stage bubble budget is exactly 0. */
-    bool neutral_bubbles_ = true;
+    /** Per stage, its isomorphism class (see the constructor). */
+    std::vector<int> stage_class_;
 };
 
 } // namespace adapipe

@@ -18,6 +18,7 @@
 #include "core/plan_io.h"
 #include "core/profiled_model.h"
 #include "hw/cluster.h"
+#include "obs/macros.h"
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
 #include "util/cli.h"
@@ -400,6 +401,39 @@ TEST(CliProcess, PipelineTrainingRecoversFromAHungWorker)
     EXPECT_EQ(finalLossToken(r.output), want) << r.output;
     std::remove(snap.c_str());
 }
+
+#if ADAPIPE_OBS_ENABLED
+TEST(CliProcess, PipelineTrainingMetricsHoldTheRecoveryReplan)
+{
+    // The recovery replan runs on the main thread, so its robust.*
+    // and planner.* counters reach --metrics-out only through the
+    // registry installed there.
+    const std::string spec = writeTempFile(
+        "cli_test_metrics_crash.json", kThrowCrashSpec);
+    const std::string snap =
+        ::testing::TempDir() + "cli_test_metrics_snap.bin";
+    const std::string out =
+        ::testing::TempDir() + "cli_test_recover_metrics.jsonl";
+    std::remove(snap.c_str());
+    std::remove(out.c_str());
+    const RunResult r = runCommand(
+        std::string(ADAPIPE_PIPELINE_TRAINING_BIN) +
+        trainingArgs() + " --fault-spec " + spec +
+        " --snapshot-every 2 --snapshot-path " + snap +
+        " --recover --metrics-out " + out);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    std::ifstream in(out);
+    std::stringstream metrics;
+    metrics << in.rdbuf();
+    for (const std::string name : {"robust.replans", "planner.plans"}) {
+        EXPECT_NE(metrics.str().find("\"name\":\"" + name + "\""),
+                  std::string::npos)
+            << name << " missing from " << out;
+    }
+    std::remove(snap.c_str());
+    std::remove(out.c_str());
+}
+#endif
 
 TEST(CliProcess, PipelineTrainingResumesFromASnapshot)
 {

@@ -12,10 +12,17 @@
  * offload, P2P charging and the knapsack knobs. Both searches run on
  * separate calculators with the same options; they must return the
  * same ranges and bit-equal timings, and the branch-and-bound must
- * make no more exact cost() evaluations. A failure prints a one-line
- * repro: the seed and the configuration it drew. A hand-built
- * instance pins the equal-floor tie-break, which random draws never
- * reach.
+ * make no more exact cost() evaluations. The branch-and-bound also
+ * runs on a calculator with the isomorphism cache off, which costs
+ * every (s, i, j) on its own: it must return the same plan, and each
+ * chosen stage's cost must be bit-equal in every field a plan reads,
+ * so keying the cache by a straggler's factor and a stage's bubble
+ * changes no byte. A failure prints a one-line repro: the seed and
+ * the configuration it drew. Tier-1 runs seeds 1..240; the disabled
+ * wide slice runs 2,048 more for CI
+ * (--gtest_also_run_disabled_tests --gtest_filter='DISABLED_*'). A
+ * hand-built instance pins the equal-floor tie-break, which random
+ * draws never reach.
  */
 
 #include <gtest/gtest.h>
@@ -310,19 +317,64 @@ bits(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
-TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
+/** Expect @p got to be @p want's plan: feasibility, ranges and
+ *  bit-equal timing. */
+void
+expectSamePartition(const PartitionDpResult &got,
+                    const PartitionDpResult &want,
+                    const std::string &repro)
 {
-    constexpr std::uint64_t kConfigs = 240;
+    EXPECT_EQ(got.feasible, want.feasible) << repro;
+    EXPECT_EQ(got.ranges, want.ranges) << repro;
+    EXPECT_EQ(bits(got.timing.warmup), bits(want.timing.warmup))
+        << repro;
+    EXPECT_EQ(bits(got.timing.ending), bits(want.timing.ending))
+        << repro;
+    EXPECT_EQ(bits(got.timing.steadyPerMb),
+              bits(want.timing.steadyPerMb))
+        << repro;
+    EXPECT_EQ(bits(got.timing.total), bits(want.timing.total))
+        << repro;
+}
+
+/** Expect @p got and @p want bit-equal in every field a plan reads. */
+void
+expectSameStageCost(const StageCost &got, const StageCost &want,
+                    const std::string &where)
+{
+    EXPECT_EQ(got.feasible, want.feasible) << where;
+    EXPECT_EQ(bits(got.fwd), bits(want.fwd)) << where;
+    EXPECT_EQ(bits(got.bwd), bits(want.bwd)) << where;
+    EXPECT_EQ(got.memPeak, want.memPeak) << where;
+    EXPECT_EQ(bits(got.replayHidden), bits(want.replayHidden)) << where;
+    EXPECT_EQ(bits(got.replayCritical), bits(want.replayCritical))
+        << where;
+    EXPECT_EQ(bits(got.offloadExposed), bits(want.offloadExposed))
+        << where;
+    EXPECT_EQ(got.recompute.saved, want.recompute.saved) << where;
+    EXPECT_EQ(got.recompute.offloaded, want.recompute.offloaded)
+        << where;
+}
+
+/**
+ * Check seeds [@p first, @p last] and that the draws straddle every
+ * regime and knob, with @p scale times the minimum counts of 240
+ * draws.
+ */
+void
+checkSeeds(std::uint64_t first, std::uint64_t last, int scale)
+{
     int infeasible = 0;
     int knapsack = 0;
     int fast_only = 0;
     int straggler = 0;
     int bubble = 0;
+    int iso_keyed = 0;
     int inflight = 0;
     int offload = 0;
     int no_p2p = 0;
     int deep = 0;
-    for (std::uint64_t seed = 1; seed <= kConfigs; ++seed) {
+    for (std::uint64_t seed = first; seed <= last; ++seed) {
         const SearchConfig c = drawConfig(seed);
         ProfiledModel pm = profile(c);
         // Adding +0.0 to a non-negative time changes no bit, so a
@@ -338,20 +390,26 @@ TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
             referencePartition(ref_calc, L, c.p, c.n);
         const PartitionDpResult got =
             solveAdaptivePartition(new_calc, L, c.p, c.n);
-
-        ASSERT_EQ(got.feasible, ref.feasible) << repro;
-        EXPECT_EQ(got.ranges, ref.ranges) << repro;
-        EXPECT_EQ(bits(got.timing.warmup), bits(ref.timing.warmup))
-            << repro;
-        EXPECT_EQ(bits(got.timing.ending), bits(ref.timing.ending))
-            << repro;
-        EXPECT_EQ(bits(got.timing.steadyPerMb),
-                  bits(ref.timing.steadyPerMb))
-            << repro;
-        EXPECT_EQ(bits(got.timing.total), bits(ref.timing.total))
-            << repro;
+        expectSamePartition(got, ref, repro);
         EXPECT_LE(new_calc.evaluations(), ref_calc.evaluations())
             << repro;
+
+        StageCostOptions raw_opts = c.opts;
+        raw_opts.useIsomorphism = false;
+        StageCostCalculator raw_calc(pm, c.p, c.n, raw_opts);
+        const PartitionDpResult raw =
+            solveAdaptivePartition(raw_calc, L, c.p, c.n);
+        expectSamePartition(got, raw, repro + " (raw keys)");
+        if (got.ranges == raw.ranges) {
+            for (int s = 0; s < static_cast<int>(got.ranges.size());
+                 ++s) {
+                const auto [i, j] = got.ranges[s];
+                expectSameStageCost(new_calc.cost(s, i, j),
+                                    raw_calc.cost(s, i, j),
+                                    repro + " stage=" +
+                                        std::to_string(s));
+            }
+        }
 
         if (!ref.feasible)
             ++infeasible;
@@ -361,24 +419,37 @@ TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
             ++fast_only;
         straggler += !c.opts.stageTimeFactor.empty();
         bubble += !c.opts.overlapBubblePerMb.empty();
+        iso_keyed += c.opts.useIsomorphism &&
+                     (!c.opts.stageTimeFactor.empty() ||
+                      !c.opts.overlapBubblePerMb.empty());
         inflight += !c.opts.inflightOverride.empty();
         offload += c.opts.offload.enabled;
         no_p2p += !c.p2p;
         deep += c.p >= 5;
     }
-    // The draw must actually straddle every regime and knob.
-    EXPECT_GE(infeasible, 15);
-    EXPECT_GE(knapsack, 60);
-    EXPECT_GE(fast_only, 15);
-    EXPECT_GE(straggler, 30);
-    EXPECT_GE(bubble, 30);
-    EXPECT_GE(inflight, 30);
-    EXPECT_GE(offload, 30);
-    EXPECT_GE(no_p2p, 60);
-    EXPECT_GE(deep, 60);
+    EXPECT_GE(infeasible, 15 * scale);
+    EXPECT_GE(knapsack, 60 * scale);
+    EXPECT_GE(fast_only, 15 * scale);
+    EXPECT_GE(straggler, 30 * scale);
+    EXPECT_GE(bubble, 30 * scale);
+    EXPECT_GE(iso_keyed, 60 * scale);
+    EXPECT_GE(inflight, 30 * scale);
+    EXPECT_GE(offload, 30 * scale);
+    EXPECT_GE(no_p2p, 60 * scale);
+    EXPECT_GE(deep, 60 * scale);
     std::cout << "regimes: infeasible=" << infeasible
               << " knapsack=" << knapsack << " fast_only=" << fast_only
-              << '\n';
+              << " iso_keyed=" << iso_keyed << '\n';
+}
+
+TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)
+{
+    checkSeeds(1, 240, 1);
+}
+
+TEST(DISABLED_WidePartitionDifferential, BranchAndBoundMatchesFullScan)
+{
+    checkSeeds(241, 2288, 8);
 }
 
 TEST(PartitionDifferential, EqualFloorAtSmallerSplitIsSolved)

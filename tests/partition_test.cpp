@@ -143,6 +143,37 @@ TEST_F(PartitionTest, IsomorphismCacheReducesKnapsackRuns)
     EXPECT_GT(calc_iso.cacheHits(), 0u);
 }
 
+TEST_F(PartitionTest, StragglerAndBubbleKeepIsomorphism)
+{
+    // The cache keys a stage's time factor and bubble by value, so a
+    // straggler replan and an overlapped-recompute plan still share
+    // isomorphism classes: fewer distinct costs than one per (s, i, j).
+    train.seqLen = 16384;
+    cluster.device.memCapacity = GiB(18); // keep the knapsack active
+    const ProfiledModel pm = profiled();
+    const int n = train.microBatches(par);
+    const Seconds block = pm.layers[1].timeFwdAll() +
+                          pm.layers[2].timeFwdAll();
+
+    StageCostOptions straggler;
+    straggler.stageTimeFactor = {1.0, 1.7, 1.0, 1.0};
+    StageCostOptions bubble;
+    bubble.overlapBubblePerMb = {0.3 * block, 0.2 * block, 0.1 * block,
+                                 0.0};
+    for (StageCostOptions opts : {straggler, bubble}) {
+        StageCostCalculator calc_iso(pm, par.pipeline, n, opts);
+        solveAdaptivePartition(calc_iso, pm.numLayers(), par.pipeline,
+                               n);
+        opts.useIsomorphism = false;
+        StageCostCalculator calc_raw(pm, par.pipeline, n, opts);
+        solveAdaptivePartition(calc_raw, pm.numLayers(), par.pipeline,
+                               n);
+
+        EXPECT_GT(calc_iso.cacheHits(), 0u);
+        EXPECT_LT(calc_iso.evaluations(), calc_raw.evaluations());
+    }
+}
+
 TEST_F(PartitionTest, IsomorphismDoesNotChangeResult)
 {
     const ProfiledModel pm = profiled();
