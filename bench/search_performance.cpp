@@ -5,12 +5,13 @@
  *
  * google-benchmark microbenchmarks of the search engine: the
  * recomputation knapsack, the full two-level AdaPipe search for both
- * evaluated models, and the scaling of the partitioning DP with the
- * pipeline size.
+ * evaluated models, the scaling of the partitioning DP with the
+ * pipeline size, and a straggler replan's partition search.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "core/knapsack_memo.h"
 #include "core/partition_dp.h"
 #include "core/planner.h"
 #include "core/profiled_model.h"
@@ -95,6 +96,32 @@ BENCHMARK(BM_PartitionDpScaling)
     ->Arg(8)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_StragglerPartition(benchmark::State &state)
+{
+    // A straggler replan's search at perfbench plan-replan's shape:
+    // GPT-3 13B at t=2, p=4, seq 2048 and a tight budget, one stage
+    // at factor 2, against a knapsack memo warmed by one untimed run
+    // as the plan service's is. What is left is stage costs, floors
+    // and the partition DP.
+    const ProfiledModel pm = makeProfiled(gpt3_13b(), 2, 4, 2048);
+    const int n = pm.train.microBatches(pm.par);
+    KnapsackMemo memo;
+    StageCostOptions opts;
+    opts.memBudgetFraction = 0.58;
+    opts.knapsackMemo = &memo;
+    opts.stageTimeFactor = {1.0, 2.0, 1.0, 1.0};
+    const auto search = [&] {
+        StageCostCalculator calc(pm, 4, n, opts);
+        return solveAdaptivePartition(calc, pm.numLayers(), 4, n);
+    };
+    if (!search().feasible)
+        state.SkipWithError("straggler search infeasible");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(search());
+}
+BENCHMARK(BM_StragglerPartition)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SweepStrategies(benchmark::State &state)

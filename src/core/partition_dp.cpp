@@ -117,7 +117,7 @@ solveAdaptivePartition(StageCostCalculator &calc, int num_layers, int p,
     };
     for (int i = last; i <= maxStart(last); ++i) {
         ++states_visited;
-        const StageCostFloor &fl = calc.costFloor(last, i, L - 1);
+        const StageCostFloor fl = calc.costFloor(last, i, L - 1);
         if (!fl.feasible) {
             ++infeasible;
             continue;
@@ -144,7 +144,7 @@ solveAdaptivePartition(StageCostCalculator &calc, int num_layers, int p,
                 if (!next.valid())
                     continue;
                 ++transitions;
-                const StageCostFloor &fl = calc.costFloor(s, i, j);
+                const StageCostFloor fl = calc.costFloor(s, i, j);
                 if (!fl.feasible) {
                     ++infeasible;
                     continue;

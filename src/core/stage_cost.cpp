@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
 
 #include "core/knapsack_memo.h"
 #include "obs/macros.h"
@@ -34,20 +35,33 @@ StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
         const std::string err = opts_.offload.validate();
         ADAPIPE_ASSERT(err.empty(), "offload options: ", err);
     }
+    budget_ = static_cast<std::int64_t>(opts_.memBudgetFraction *
+                                        static_cast<double>(capacity()));
     // A stage reaches a range's cost only through its in-flight
     // count, time factor and bubble; its class is the first stage
     // with the same three (doubles by bit pattern, as KnapsackMemo).
+    // A range reaches it only through its length, first layer kind
+    // and boundary content, so an interior range is represented by
+    // the one of its length at the first layer of its kind.
     const auto stage_values = [this](int s) {
         return std::tuple{inflight(s),
                           std::bit_cast<std::uint64_t>(timeFactor(s)),
                           std::bit_cast<std::uint64_t>(overlapBubble(s))};
     };
+    const bool iso = opts_.useIsomorphism;
     for (int s = 0; s < p_; ++s) {
         int first = 0;
-        while (stage_values(first) != stage_values(s))
+        while (iso && stage_values(first) != stage_values(s))
             ++first;
-        stage_class_.push_back(first);
+        stage_class_.push_back(iso ? first : s);
     }
+    for (int i = 0; i < pm_.numLayers(); ++i) {
+        int first = 0;
+        while (iso && pm_.layers[first].kind != pm_.layers[i].kind)
+            ++first;
+        rep_start_.push_back(iso ? first : i);
+    }
+    starts_.resize(pm_.numLayers());
 }
 
 StageCostCalculator::~StageCostCalculator()
@@ -91,24 +105,6 @@ StageCostCalculator::inflight(int s) const
     return MemoryModel::inflightMicroBatches(s, p_, n_);
 }
 
-StageCostCalculator::Key
-StageCostCalculator::cacheKey(int s, int i, int j) const
-{
-    const bool has_embed = (i == 0);
-    const bool has_head = (j == pm_.numLayers() - 1);
-    // The first block-layer kind determines the whole alternating
-    // composition for a given length; ranges starting with the
-    // embedding key on the kind of layer 1 implicitly via has_embed.
-    const int first_kind =
-        static_cast<int>(pm_.layers[std::min(i, pm_.numLayers() - 1)]
-                             .kind);
-    if (opts_.useIsomorphism)
-        return {stage_class_[s], has_embed, has_head, j - i, first_kind};
-    // Degenerate key: every (s, i, j) is distinct.
-    return {s * (pm_.numLayers() + 1) + i, has_embed, has_head, j - i,
-            first_kind};
-}
-
 StageCostCalculator::MemoryBreakdown
 StageCostCalculator::breakdown(int i, int j) const
 {
@@ -124,13 +120,71 @@ StageCostCalculator::breakdown(int i, int j) const
     return b;
 }
 
+std::pair<int, int>
+StageCostCalculator::representative(int i, int j) const
+{
+    if (j == pm_.numLayers() - 1)
+        return {i, j};
+    // An interior range keeps its length and moves to the first
+    // start of its kind; a range from the embedding stays put.
+    const int first = rep_start_[i];
+    return {first, first + (j - i)};
+}
+
+const StageCostCalculator::RangeSums &
+StageCostCalculator::rangeSums(int i, int j)
+{
+    const int last = pm_.numLayers() - 1;
+    StartSums &start = starts_[i];
+    if (!start.filled) {
+        // One pass from i to the head, in the units' order, so every
+        // prefix is bit-equal to a loop over [i, j] alone.
+        const bool keep_row = rep_start_[i] == i;
+        if (keep_row)
+            start.row.reserve(last - i);
+        RangeSums r;
+        r.mem.input = (i > 0) ? pm_.stageInputBytes : 0;
+        std::uint64_t params = 0;
+        for (int l = i; l <= last; ++l) {
+            const ProfiledLayer &layer = pm_.layers[l];
+            for (const auto &u : layer.units) {
+                r.fwdAll += u.timeFwd;
+                r.bwdAll += u.timeBwd;
+                if (!u.alwaysSaved)
+                    r.fwdRecomputable += u.timeFwd;
+                else
+                    r.mem.alwaysSaved += u.memSaved;
+                r.savedAll += u.memSaved;
+            }
+            r.units += static_cast<int>(layer.units.size());
+            params += layer.params;
+            const Layer &raw = pm_.rawLayers[l];
+            if (raw.kind == LayerKind::Attention ||
+                raw.kind == LayerKind::FeedForward)
+                r.mem.buffer = std::max(r.mem.buffer, raw.memSavedAll());
+            if (!keep_row && l < last)
+                continue;
+            r.mem.staticMem = mem_model_.staticMemory(params).total();
+            if (l < last)
+                start.row.push_back(r);
+            else
+                start.head = r;
+        }
+        start.filled = true;
+    }
+    return j == last ? start.head : start.row[j - i];
+}
+
 const StageCost &
 StageCostCalculator::cost(int s, int i, int j)
 {
     ADAPIPE_ASSERT(s >= 0 && s < p_, "stage out of range: ", s);
     ADAPIPE_ASSERT(i >= 0 && j < pm_.numLayers() && i <= j,
                    "bad layer range [", i, ", ", j, "]");
-    const Key key = cacheKey(s, i, j);
+    const auto [ri, rj] = representative(i, j);
+    const std::int64_t layers = pm_.numLayers();
+    const std::int64_t key =
+        (stage_class_[s] * layers + ri) * layers + rj;
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         // Hot path: millions of lookups per sweep. Hits/misses are
@@ -139,70 +193,50 @@ StageCostCalculator::cost(int s, int i, int j)
         ++cache_hits_;
         return it->second;
     }
-    auto [ins, _] = cache_.emplace(key, compute(s, i, j));
+    auto [ins, _] = cache_.emplace(key, compute(s, ri, rj));
     return ins->second;
 }
 
-const StageCostFloor &
+StageCostFloor
 StageCostCalculator::costFloor(int s, int i, int j)
 {
     ADAPIPE_ASSERT(s >= 0 && s < p_, "stage out of range: ", s);
     ADAPIPE_ASSERT(i >= 0 && j < pm_.numLayers() && i <= j,
                    "bad layer range [", i, ", ", j, "]");
-    const Key key = cacheKey(s, i, j);
-    auto it = floor_cache_.find(key);
-    if (it != floor_cache_.end())
-        return it->second;
-    const RangeProfile r = rangeProfile(s, i, j, nullptr);
+    const auto [ri, rj] = representative(i, j);
+    const RangeSums &r = rangeSums(ri, rj);
     StageCostFloor floor;
-    floor.feasible = r.feasible;
-    if (r.feasible) {
+    floor.feasible = verdict(s, r).feasible;
+    if (floor.feasible) {
         floor.fwd = r.fwdAll;
         floor.bwd = r.bwdAll;
-        addStageOverheads(s, i, floor.fwd, floor.bwd);
+        addStageOverheads(s, ri, floor.fwd, floor.bwd);
     }
-    auto [ins, _] = floor_cache_.emplace(key, floor);
-    return ins->second;
+    return floor;
 }
 
-StageCostCalculator::RangeProfile
-StageCostCalculator::rangeProfile(int s, int i, int j,
-                                  std::vector<UnitProfile> *units) const
+StageCostCalculator::Verdict
+StageCostCalculator::verdict(int s, const RangeSums &r) const
 {
-    RangeProfile r;
-    r.mem = breakdown(i, j);
-    for (int l = i; l <= j; ++l) {
-        for (const auto &u : pm_.layers[l].units) {
-            r.fwdAll += u.timeFwd;
-            r.bwdAll += u.timeBwd;
-            if (!u.alwaysSaved)
-                r.fwdRecomputable += u.timeFwd;
-            r.savedAll += u.memSaved;
-            if (units)
-                units->push_back(u);
-        }
-    }
+    Verdict v;
     const int m = inflight(s);
-    const Bytes cap = capacity();
-    r.budget = static_cast<std::int64_t>(opts_.memBudgetFraction *
-                                         static_cast<double>(cap));
-    r.noRecomputeTotal =
+    v.noRecomputeTotal =
         r.mem.staticMem +
         static_cast<Bytes>(m) * (r.mem.input + r.savedAll);
-    r.minimal = r.mem.staticMem + r.mem.buffer +
+    v.minimal = r.mem.staticMem + r.mem.buffer +
                 static_cast<Bytes>(m) *
                     (r.mem.input + r.mem.alwaysSaved);
     // Fast path: everything saved fits the budget without a buffer.
     // Disabled under a bubble budget — there the solver's discounted
     // objective may prefer saving *less* (replay hides for free), so
     // "everything fits" no longer implies "save everything".
-    r.fastPath = overlapBubble(s) <= 0 &&
-                 static_cast<std::int64_t>(r.noRecomputeTotal) <=
-                     r.budget;
+    v.fastPath = overlapBubble(s) <= 0 &&
+                 static_cast<std::int64_t>(v.noRecomputeTotal) <=
+                     budget_;
     // Otherwise the stage must fit with every optional unit
     // recomputed.
-    r.feasible = r.fastPath || r.minimal <= cap;
-    return r;
+    v.feasible = v.fastPath || v.minimal <= capacity();
+    return v;
 }
 
 void
@@ -223,45 +257,52 @@ StageCostCalculator::addStageOverheads(int s, int i, Seconds &fwd,
 StageCost
 StageCostCalculator::compute(int s, int i, int j)
 {
-    // Gather the range's units. With offloading enabled, the solver
-    // itself weighs recompute vs host-staging per unit (tri-choice
-    // DP); unit times are passed through unmodified so fwd/bwd
-    // accounting always matches what the event simulator replays —
-    // the offload share is reported disjointly in offloadExposed.
-    std::vector<UnitProfile> units;
-    const RangeProfile r = rangeProfile(s, i, j, &units);
+    const RangeSums &r = rangeSums(i, j);
+    const Verdict v = verdict(s, r);
     const MemoryBreakdown &mem = r.mem;
 
     StageCost result;
-    result.totalUnits = static_cast<int>(units.size());
+    result.totalUnits = r.units;
 
-    RecomputeDpOptions dp_opts = opts_.dp;
-    dp_opts.overlapBubble = overlapBubble(s);
-    dp_opts.offload = opts_.offload;
-    if (dp_opts.offload.enabled && dp_opts.offload.linkBudgetPerMb <= 0) {
-        // Default shared-link budget: the host link can stream while
-        // this stage computes one micro-batch's forward + backward,
-        // no longer (evictions of micro-batch t overlap with compute
-        // of t+1). Range-local, so the isomorphism cache stays valid.
-        dp_opts.offload.linkBudgetPerMb = r.fwdAll + r.bwdAll;
-    }
-
-    if (r.fastPath) {
+    if (v.fastPath) {
         result.feasible = true;
-        result.recompute.saved.assign(units.size(), true);
+        result.recompute.saved.assign(r.units, true);
         result.recompute.savedFwdTime = r.fwdRecomputable;
         result.recompute.savedBytes = r.savedAll - mem.alwaysSaved;
         result.recompute.savedUnits = result.totalUnits;
         result.fwd = r.fwdAll;
         result.bwd = r.bwdAll;
-        result.memPeak = r.noRecomputeTotal;
-    } else if (!r.feasible) {
-        result.memPeak = r.minimal;
+        result.memPeak = v.noRecomputeTotal;
+    } else if (!v.feasible) {
+        result.memPeak = v.minimal;
         return result;
     } else {
+        // Gather the range's units. With offloading enabled, the
+        // solver itself weighs recompute vs host-staging per unit
+        // (tri-choice DP); unit times are passed through unmodified
+        // so fwd/bwd accounting always matches what the event
+        // simulator replays — the offload share is reported
+        // disjointly in offloadExposed.
+        units_.clear();
+        for (int l = i; l <= j; ++l) {
+            for (const auto &u : pm_.layers[l].units)
+                units_.push_back(u);
+        }
+        RecomputeDpOptions dp_opts = opts_.dp;
+        dp_opts.overlapBubble = overlapBubble(s);
+        dp_opts.offload = opts_.offload;
+        if (dp_opts.offload.enabled &&
+            dp_opts.offload.linkBudgetPerMb <= 0) {
+            // Default shared-link budget: the host link can stream
+            // while this stage computes one micro-batch's forward +
+            // backward, no longer (evictions of micro-batch t overlap
+            // with compute of t+1). Range-local, so the isomorphism
+            // cache stays valid.
+            dp_opts.offload.linkBudgetPerMb = r.fwdAll + r.bwdAll;
+        }
         const int m = inflight(s);
         const std::int64_t per_mb =
-            (r.budget - static_cast<std::int64_t>(mem.staticMem) -
+            (budget_ - static_cast<std::int64_t>(mem.staticMem) -
              static_cast<std::int64_t>(mem.buffer)) /
                 m -
             static_cast<std::int64_t>(mem.input) -
@@ -269,7 +310,7 @@ StageCostCalculator::compute(int s, int i, int j)
         if (opts_.knapsackMemo) {
             bool hit = false;
             result.recompute = opts_.knapsackMemo->solve(
-                units, per_mb, dp_opts, &hit);
+                units_, per_mb, dp_opts, &hit);
             if (hit) {
                 ++memo_hits_;
             } else {
@@ -279,7 +320,7 @@ StageCostCalculator::compute(int s, int i, int j)
         } else {
             ++knapsack_runs_;
             result.recompute =
-                solveRecomputeKnapsack(units, per_mb, dp_opts);
+                solveRecomputeKnapsack(units_, per_mb, dp_opts);
         }
         result.feasible = true;
         result.fwd = r.fwdAll;

@@ -13,20 +13,36 @@
  * layer kind and the same boundary content (embedding / decoding
  * head) have identical cost tables on stages with the same in-flight
  * count, stage-time factor and overlap bubble, so results are
- * memoised under that key, reducing knapsack executions from
- * O(p L^2) to O(p L), for straggler and overlapped plans too.
+ * memoised under (stage class, representative range), reducing
+ * knapsack executions from O(p L^2) to O(p L), for straggler and
+ * overlapped plans too. Each class has one fixed representative: a
+ * range that holds the embedding or the head represents itself, and
+ * an interior range is represented by the range of the same length
+ * that starts at the first layer of its kind (layer 1 for attention,
+ * layer 2 for feed-forward). cost() and costFloor() both read the
+ * representative, so neither depends on the order the search asks
+ * for ranges in, even on a measured profile whose layers differ.
  *
- * Floors: costFloor() bounds cost() from below without a knapsack.
- * Feasibility and the forward time are exact; the backward time
- * charges zero replay and zero offload exposure, then adds P2P and
- * the stage-time factor exactly as compute() does. compute()'s
- * backward time adds critical replay and exposed offload time, both
- * never negative, and IEEE addition, max and scaling by a
- * non-negative constant are monotone, so floor.bwd <= cost().bwd in
- * every mode (overlap bubble, offload, straggler factor, in-flight
- * override). Floor and cost share the range sums of rangeProfile(),
- * so on the everything-fits fast path the floor *is* the cost, bit
- * for bit. Floors are cached under cost()'s key.
+ * Range sums: one pass per start accumulates layer by layer, in the
+ * units' order, every sum a range's cost reads (times, saved bytes,
+ * parameters, the recompute buffer as a running max), so each stored
+ * double is bit-equal to a loop over that range alone. A start that
+ * is its own representative keeps a row of every length; every start
+ * keeps its range up to the head. With isomorphism on that is three
+ * rows (the embedding's, the first attention's and the first
+ * feed-forward's) and one head entry per start, O(L) in all.
+ *
+ * Floors: costFloor() bounds cost() from below in O(1), without a
+ * knapsack and without a cache. Feasibility and the forward time are
+ * exact; the backward time charges zero replay and zero offload
+ * exposure, then adds P2P and the stage-time factor exactly as
+ * compute() does. compute()'s backward time adds critical replay and
+ * exposed offload time, both never negative, and IEEE addition, max
+ * and scaling by a non-negative constant are monotone, so floor.bwd
+ * <= cost().bwd in every mode (overlap bubble, offload, straggler
+ * factor, in-flight override). Floor and cost share the
+ * representative's range sums, so on the everything-fits fast path
+ * the floor *is* the cost, bit for bit.
  *
  * The partition DP (partition_dp.h) uses the floors as a
  * branch-and-bound. It expands only the reachable stage-0 state
@@ -42,7 +58,7 @@
 
 #include <cstdint>
 #include <map>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/plan.h"
@@ -211,12 +227,13 @@ class StageCostCalculator
     const StageCost &cost(int s, int i, int j);
 
     /**
-     * Lower bound of cost(s, i, j) that runs no knapsack: exact
-     * feasibility and forward time, backward time without replay or
-     * offload exposure (memoised under cost()'s key). Equal to
-     * cost() when every unit fits.
+     * Lower bound of cost(s, i, j) in O(1) that runs no knapsack:
+     * exact feasibility and forward time, backward time without
+     * replay or offload exposure, read from the range that
+     * represents cost()'s class. Equal to cost() when every unit
+     * fits.
      */
-    const StageCostFloor &costFloor(int s, int i, int j);
+    StageCostFloor costFloor(int s, int i, int j);
 
     /**
      * Baseline cost of the same range under a uniform recomputation
@@ -260,6 +277,7 @@ class StageCostCalculator
     Seconds overlapBubble(int s) const;
 
   private:
+    /** Cost of representative range [i, j] as stage s. */
     StageCost compute(int s, int i, int j);
 
     /** Static + buffer + per-mb fixed memory common to all modes. */
@@ -272,9 +290,8 @@ class StageCostCalculator
     };
     MemoryBreakdown breakdown(int i, int j) const;
 
-    /** Range sums and memory verdicts shared by costFloor() and
-     *  compute(), so both see bit-identical times. */
-    struct RangeProfile
+    /** Everything a range's cost reads of its layers. */
+    struct RangeSums
     {
         MemoryBreakdown mem;
         Seconds fwdAll = 0;
@@ -282,8 +299,32 @@ class StageCostCalculator
         /** Forward time of the units that are not always saved. */
         Seconds fwdRecomputable = 0;
         Bytes savedAll = 0;
-        /** Planner byte budget (memBudgetFraction of capacity). */
-        std::int64_t budget = 0;
+        /** Computation units in the range. */
+        int units = 0;
+    };
+
+    /** The sums of the ranges starting at one layer, filled by one
+     *  pass on first use. */
+    struct StartSums
+    {
+        bool filled = false;
+        /** [i, i + k] at k, for the interior ranges the start
+         *  represents; empty for other starts. */
+        std::vector<RangeSums> row;
+        /** [i, L - 1]: the range up to and including the head. */
+        RangeSums head;
+    };
+
+    /** @return the range that represents [i, j]'s class. */
+    std::pair<int, int> representative(int i, int j) const;
+
+    /** @return the sums of representative range [i, j]. */
+    const RangeSums &rangeSums(int i, int j);
+
+    /** Stage s's memory verdicts on one range, shared by costFloor()
+     *  and compute(). */
+    struct Verdict
+    {
         /** Peak with every unit saved and no recompute buffer. */
         Bytes noRecomputeTotal = 0;
         /** Peak with every optional unit recomputed. */
@@ -292,32 +333,35 @@ class StageCostCalculator
         bool fastPath = false;
         bool feasible = false;
     };
-    /** @param units when non-null, receives the range's units. */
-    RangeProfile rangeProfile(int s, int i, int j,
-                              std::vector<UnitProfile> *units) const;
+    Verdict verdict(int s, const RangeSums &r) const;
 
     /** Add P2P and scale by the stage-time factor, as cost() does. */
     void addStageOverheads(int s, int i, Seconds &fwd,
                            Seconds &bwd) const;
-
-    /** (stage class, embed, head, length, first kind); with
-     *  useIsomorphism off the first field is unique per (s, i). */
-    using Key = std::tuple<int, bool, bool, int, int>;
-    Key cacheKey(int s, int i, int j) const;
 
     const ProfiledModel &pm_;
     MemoryModel mem_model_;
     int p_;
     int n_;
     StageCostOptions opts_;
-    std::map<Key, StageCost> cache_;
-    std::map<Key, StageCostFloor> floor_cache_;
+    /** Planner byte budget (memBudgetFraction of capacity). */
+    std::int64_t budget_ = 0;
+    /** Keyed by (stage class, representative), one integer. */
+    std::map<std::int64_t, StageCost> cache_;
+    std::vector<StartSums> starts_;
+    /** compute()'s gathered units, reused across calls. */
+    std::vector<UnitProfile> units_;
     std::size_t knapsack_runs_ = 0;
     std::size_t cache_hits_ = 0;
     std::size_t memo_hits_ = 0;
     std::size_t memo_misses_ = 0;
-    /** Per stage, its isomorphism class (see the constructor). */
+    /** Per stage, its isomorphism class (see the constructor); the
+     *  stage itself with useIsomorphism off. */
     std::vector<int> stage_class_;
+    /** Per layer, the start of the interior ranges that represent
+     *  ranges starting there; the layer itself with useIsomorphism
+     *  off. */
+    std::vector<int> rep_start_;
 };
 
 } // namespace adapipe

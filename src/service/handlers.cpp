@@ -108,6 +108,22 @@ PlanService::handleLine(const std::string &line)
     }
     const ServiceRequest &req = parsed.value();
 
+    // A cached response under @p key, else @p cold's, timed either
+    // way.
+    const auto serve = [&](const std::string &key, const auto &cold) {
+        std::string response;
+        if (cache_.get(key, &response)) {
+            ADAPIPE_OBS_COUNT("service.cache_hits", 1);
+            recordLatency(nowMicros() - start_us, true);
+            return response;
+        }
+        ADAPIPE_OBS_COUNT("service.cache_misses", 1);
+        response = cold();
+        recordLatency(nowMicros() - start_us, false);
+        return response;
+    };
+    // Each fingerprint is a canonical JSON dump: computed once here,
+    // then passed to the handler.
     switch (req.kind) {
       case RequestKind::Stats:
         stats_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -118,50 +134,28 @@ PlanService::handleLine(const std::string &line)
         return successEnvelope("shutdown").dump(0);
       case RequestKind::Plan: {
         plan_requests_.fetch_add(1, std::memory_order_relaxed);
-        const std::string key =
-            "plan:" + requestFingerprint(req.plan);
-        std::string warm_response;
-        if (cache_.get(key, &warm_response)) {
-            ADAPIPE_OBS_COUNT("service.cache_hits", 1);
-            recordLatency(nowMicros() - start_us, true);
-            return warm_response;
-        }
-        ADAPIPE_OBS_COUNT("service.cache_misses", 1);
-        const std::string response = handlePlan(req.plan);
-        recordLatency(nowMicros() - start_us, false);
-        return response;
+        const std::string fp = requestFingerprint(req.plan);
+        return serve("plan:" + fp, [&] {
+            std::string response;
+            basePlan(req.plan, fp, &response);
+            return response;
+        });
       }
       case RequestKind::Explain: {
         explain_requests_.fetch_add(1, std::memory_order_relaxed);
-        const std::string key =
-            "explain:" + requestFingerprint(req.plan);
-        std::string warm_response;
-        if (cache_.get(key, &warm_response)) {
-            ADAPIPE_OBS_COUNT("service.cache_hits", 1);
-            recordLatency(nowMicros() - start_us, true);
-            return warm_response;
-        }
-        ADAPIPE_OBS_COUNT("service.cache_misses", 1);
-        const std::string response = handleExplain(req.plan);
-        recordLatency(nowMicros() - start_us, false);
-        return response;
+        const std::string fp = requestFingerprint(req.plan);
+        const std::string key = "explain:" + fp;
+        return serve(key,
+                     [&] { return handleExplain(req.plan, fp, key); });
       }
       case RequestKind::Replan: {
         replan_requests_.fetch_add(1, std::memory_order_relaxed);
-        const std::string key =
-            "replan:" + requestFingerprint(req.plan) + ":" +
-            jsonFingerprint(faultToJson(req.fault));
-        std::string warm_response;
-        if (cache_.get(key, &warm_response)) {
-            ADAPIPE_OBS_COUNT("service.cache_hits", 1);
-            recordLatency(nowMicros() - start_us, true);
-            return warm_response;
-        }
-        ADAPIPE_OBS_COUNT("service.cache_misses", 1);
-        const std::string response =
-            handleReplan(req.plan, req.fault);
-        recordLatency(nowMicros() - start_us, false);
-        return response;
+        const std::string fp = requestFingerprint(req.plan);
+        const std::string key = "replan:" + fp + ":" +
+                                jsonFingerprint(faultToJson(req.fault));
+        return serve(key, [&] {
+            return handleReplan(req.plan, req.fault, fp, key);
+        });
       }
     }
     ADAPIPE_FATAL("unhandled request kind");
@@ -191,10 +185,9 @@ PlanService::solve(const PlanRequest &request)
 }
 
 PlanResult
-PlanService::basePlan(const PlanRequest &request,
+PlanService::basePlan(const PlanRequest &request, const std::string &fp,
                       std::string *response)
 {
-    const std::string fp = requestFingerprint(request);
     const std::string key = "plan:" + fp;
 
     std::string cached;
@@ -255,18 +248,11 @@ PlanService::basePlan(const PlanRequest &request,
 }
 
 std::string
-PlanService::handlePlan(const PlanRequest &request)
+PlanService::handleExplain(const PlanRequest &request,
+                           const std::string &fp,
+                           const std::string &key)
 {
-    std::string response;
-    basePlan(request, &response);
-    return response;
-}
-
-std::string
-PlanService::handleExplain(const PlanRequest &request)
-{
-    const std::string fp = requestFingerprint(request);
-    PlanResult base = basePlan(request, nullptr);
+    PlanResult base = basePlan(request, fp, nullptr);
     if (!base.ok) {
         return errorResponse("explain",
                              "plan infeasible: " + base.oomReason);
@@ -275,16 +261,16 @@ PlanService::handleExplain(const PlanRequest &request)
     envelope.set("fingerprint", JsonValue::string(fp));
     envelope.set("explain", explainJson(base.plan));
     const std::string line = envelope.dump(0);
-    cache_.put("explain:" + fp, line);
+    cache_.put(key, line);
     return line;
 }
 
 std::string
 PlanService::handleReplan(const PlanRequest &request,
-                          const DegradedScenario &fault)
+                          const DegradedScenario &fault,
+                          const std::string &fp, const std::string &key)
 {
-    const std::string fp = requestFingerprint(request);
-    PlanResult base = basePlan(request, nullptr);
+    PlanResult base = basePlan(request, fp, nullptr);
     if (!base.ok) {
         return errorResponse("replan",
                              "base plan infeasible: " +
@@ -320,9 +306,7 @@ PlanService::handleReplan(const PlanRequest &request,
     envelope.set("fingerprint", JsonValue::string(fp));
     envelope.set("degraded_plan", degradedPlanToJson(doc));
     const std::string line = envelope.dump(0);
-    cache_.put("replan:" + fp + ":" +
-                   jsonFingerprint(faultToJson(fault)),
-               line);
+    cache_.put(key, line);
     return line;
 }
 

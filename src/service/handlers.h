@@ -74,21 +74,27 @@ class PlanService
     PlanCache &cache() { return cache_; }
 
   private:
-    std::string handlePlan(const PlanRequest &request);
-    std::string handleExplain(const PlanRequest &request);
+    /** The cold handlers take the request's fingerprint @p fp and
+     *  the cache @p key its response goes under, both computed once
+     *  by handleLine(). */
+    std::string handleExplain(const PlanRequest &request,
+                              const std::string &fp,
+                              const std::string &key);
     std::string handleReplan(const PlanRequest &request,
-                             const DegradedScenario &fault);
+                             const DegradedScenario &fault,
+                             const std::string &fp,
+                             const std::string &key);
     std::string handleStats();
 
     /**
-     * The healthy plan of @p request, through the cache: a cached
-     * response line or persisted document is parsed back, a miss
-     * plans cold and populates both. Returns the response line via
-     * @p response when non-null.
+     * The healthy plan of @p request, whose fingerprint is @p fp,
+     * through the cache: a cached response line or persisted
+     * document is parsed back, a miss plans cold and populates both.
+     * Returns the response line via @p response when non-null.
      * @return ok=false with oomReason on infeasible configurations
      */
     PlanResult basePlan(const PlanRequest &request,
-                        std::string *response);
+                        const std::string &fp, std::string *response);
 
     /** Solve the request with the configured schedule family. */
     PlanResult solve(const PlanRequest &request);

@@ -17,9 +17,15 @@
  * every (s, i, j) on its own: it must return the same plan, and each
  * chosen stage's cost must be bit-equal in every field a plan reads,
  * so keying the cache by a straggler's factor and a stage's bubble
- * changes no byte. A failure prints a one-line repro: the seed and
- * the configuration it drew. Tier-1 runs seeds 1..240; the disabled
- * wide slice runs 2,048 more for CI
+ * changes no byte. Every draw with the isomorphism cache on runs
+ * once more on a perturbed copy of its profile, each unit's times
+ * scaled by its own seeded factor in [1, 1.05), the way a measured
+ * profile differs from layer to layer: there the branch-and-bound
+ * must still match the full scan, although the two ask for ranges in
+ * different orders, because each class is costed on a fixed
+ * representative range. A failure prints a one-line repro: the seed
+ * and the configuration it drew. Tier-1 runs seeds 1..240; the
+ * disabled wide slice runs 2,048 more for CI
  * (--gtest_also_run_disabled_tests --gtest_filter='DISABLED_*'). A
  * hand-built instance pins the equal-floor tie-break, which random
  * draws never reach.
@@ -317,6 +323,22 @@ bits(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
+/** @return @p pm with each unit's times scaled by its own factor in
+ *  [1, 1.05), drawn from @p seed: no two layers stay isomorphic. */
+ProfiledModel
+perturbed(ProfiledModel pm, std::uint64_t seed)
+{
+    Rng rng(seed ^ 0x5bd1e995u);
+    for (ProfiledLayer &layer : pm.layers) {
+        for (UnitProfile &u : layer.units) {
+            const double factor = rng.uniform(1.0, 1.05);
+            u.timeFwd *= factor;
+            u.timeBwd *= factor;
+        }
+    }
+    return pm;
+}
+
 /** Expect @p got to be @p want's plan: feasibility, ranges and
  *  bit-equal timing. */
 void
@@ -374,6 +396,7 @@ checkSeeds(std::uint64_t first, std::uint64_t last, int scale)
     int offload = 0;
     int no_p2p = 0;
     int deep = 0;
+    int perturbed_knapsack = 0;
     for (std::uint64_t seed = first; seed <= last; ++seed) {
         const SearchConfig c = drawConfig(seed);
         ProfiledModel pm = profile(c);
@@ -411,6 +434,21 @@ checkSeeds(std::uint64_t first, std::uint64_t last, int scale)
             }
         }
 
+        if (c.opts.useIsomorphism) {
+            const ProfiledModel noisy = perturbed(pm, seed);
+            StageCostCalculator ref_noisy(noisy, c.p, c.n, c.opts);
+            StageCostCalculator new_noisy(noisy, c.p, c.n, c.opts);
+            const PartitionDpResult want =
+                referencePartition(ref_noisy, L, c.p, c.n);
+            expectSamePartition(
+                solveAdaptivePartition(new_noisy, L, c.p, c.n), want,
+                repro + " (perturbed profile)");
+            EXPECT_LE(new_noisy.evaluations(), ref_noisy.evaluations())
+                << repro << " (perturbed profile)";
+            perturbed_knapsack +=
+                want.feasible && ref_noisy.knapsackRuns() > 0;
+        }
+
         if (!ref.feasible)
             ++infeasible;
         else if (ref_calc.knapsackRuns() > 0)
@@ -437,9 +475,11 @@ checkSeeds(std::uint64_t first, std::uint64_t last, int scale)
     EXPECT_GE(offload, 30 * scale);
     EXPECT_GE(no_p2p, 60 * scale);
     EXPECT_GE(deep, 60 * scale);
+    EXPECT_GE(perturbed_knapsack, 80 * scale);
     std::cout << "regimes: infeasible=" << infeasible
               << " knapsack=" << knapsack << " fast_only=" << fast_only
-              << " iso_keyed=" << iso_keyed << '\n';
+              << " iso_keyed=" << iso_keyed
+              << " perturbed_knapsack=" << perturbed_knapsack << '\n';
 }
 
 TEST(PartitionDifferential, BranchAndBoundMatchesFullScan)

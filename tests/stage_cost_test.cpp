@@ -1,14 +1,22 @@
 /**
  * @file
  * Focused tests for StageCostCalculator: budget derivation, the
- * fast path, feasibility edges and cross-model property sweeps.
+ * fast path, feasibility edges, cross-model property sweeps and the
+ * floor contract the partition search relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/stage_cost.h"
 #include "hw/cluster.h"
 #include "model/model_config.h"
+#include "util/rng.h"
 
 namespace adapipe {
 namespace {
@@ -212,6 +220,202 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AdaptiveBwdBounds,
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(4096, 8192, 16384)));
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** @return @p pm with each unit's times scaled by its own seeded
+ *  factor in [1, 1.05): no two layers stay isomorphic. */
+ProfiledModel
+perturbed(ProfiledModel pm)
+{
+    Rng rng(20);
+    for (ProfiledLayer &layer : pm.layers) {
+        for (UnitProfile &u : layer.units) {
+            const double factor = rng.uniform(1.0, 1.05);
+            u.timeFwd *= factor;
+            u.timeBwd *= factor;
+        }
+    }
+    return pm;
+}
+
+/** A calculator configuration of the floor contract test. */
+struct ContractMode
+{
+    std::string name;
+    StageCostOptions opts;
+};
+
+/**
+ * GPT-3 13B cut to 5 blocks on p = 4 stages, at a capacity between
+ * the even split's all-recompute and all-saved peaks: short ranges
+ * take the fast path, longer ones run the knapsack, the longest do
+ * not fit. @p modes receives the healthy, straggler, bubble, offload
+ * and in-flight-override configurations.
+ */
+ProfiledModel
+contractModel(std::vector<ContractMode> &modes)
+{
+    ModelConfig model = gpt3_13b();
+    model.numBlocks = 5;
+    const ProfiledModel pm = makePm(model, 2, 2048, GiB(80));
+    const int L = pm.numLayers();
+    StageCostCalculator probe(pm, 4, 32);
+    Bytes lo = 0;
+    Bytes hi = 0;
+    for (int s = 0; s < 4; ++s) {
+        const int i = s * L / 4;
+        const int j = (s + 1) * L / 4 - 1;
+        lo = std::max(lo, probe.baselineCost(s, i, j, true).memPeak);
+        hi = std::max(hi, probe.baselineCost(s, i, j, false).memPeak);
+    }
+    const Seconds fwd = probe.baselineCost(1, 3, 6, false).fwd;
+
+    StageCostOptions base;
+    base.memCapacityOverride = lo + (hi - lo) / 2;
+    base.memBudgetFraction = 0.95;
+    base.dp.maxBuckets = 256;
+    modes.push_back({"healthy", base});
+    StageCostOptions o = base;
+    o.stageTimeFactor = {1.0, 2.5, 1.0, 1.0};
+    modes.push_back({"straggler", o});
+    o = base;
+    o.overlapBubblePerMb = {0.3 * fwd, 0.0, 0.1 * fwd, 0.3 * fwd};
+    modes.push_back({"bubble", o});
+    o = base;
+    o.offload.enabled = true;
+    o.offload.bandwidth = 20e9;
+    o.offload.overlapFraction = 0.5;
+    o.offload.maxLinkBuckets = 4;
+    o.offload.maxOffloadMemBuckets = 24;
+    o.offload.maxHiddenBuckets = 4;
+    modes.push_back({"offload", o});
+    o = base;
+    o.inflightOverride = {2, 3, 1, 1};
+    modes.push_back({"inflight", o});
+    return pm;
+}
+
+/**
+ * costFloor() against cost() at every (s, i, j): the same verdict,
+ * bit-equal forward times and floor.bwd <= cost.bwd, bit-equal when
+ * the cost replays and exposes nothing (the fast path), in every
+ * mode, with the isomorphism cache on and off, and on a perturbed
+ * profile whose layers are not isomorphic. Costs are read in
+ * ascending and floors in descending order, so the contract cannot
+ * lean on both seeing a class through the same range first.
+ */
+TEST(StageCostFloor, BoundsCostAtEveryRange)
+{
+    std::vector<ContractMode> modes;
+    const ProfiledModel pm = contractModel(modes);
+    const ProfiledModel noisy = perturbed(pm);
+    const int L = pm.numLayers();
+    int equal = 0;
+    int strict = 0;
+    int infeasible = 0;
+    const auto check = [&](const ProfiledModel &profile,
+                           const ContractMode &mode, bool iso) {
+        StageCostOptions opts = mode.opts;
+        opts.useIsomorphism = iso;
+        StageCostCalculator calc(profile, 4, 32, opts);
+        std::vector<const StageCost *> costs;
+        for (int s = 0; s < 4; ++s)
+            for (int i = 0; i < L; ++i)
+                for (int j = i; j < L; ++j)
+                    costs.push_back(&calc.cost(s, i, j));
+        std::size_t k = costs.size();
+        for (int s = 3; s >= 0; --s) {
+            for (int i = L - 1; i >= 0; --i) {
+                for (int j = L - 1; j >= i; --j) {
+                    const std::string where =
+                        mode.name + (iso ? " iso" : " raw") +
+                        (&profile == &pm ? "" : " perturbed") +
+                        " s=" + std::to_string(s) +
+                        " i=" + std::to_string(i) +
+                        " j=" + std::to_string(j);
+                    const StageCostFloor fl = calc.costFloor(s, i, j);
+                    const StageCost &c = *costs[--k];
+                    ASSERT_EQ(fl.feasible, c.feasible) << where;
+                    if (!c.feasible) {
+                        ++infeasible;
+                        continue;
+                    }
+                    EXPECT_EQ(bits(fl.fwd), bits(c.fwd)) << where;
+                    EXPECT_LE(fl.bwd, c.bwd) << where;
+                    if (c.replayCritical == 0 && c.offloadExposed == 0) {
+                        EXPECT_EQ(bits(fl.bwd), bits(c.bwd)) << where;
+                        ++equal;
+                    } else {
+                        strict += fl.bwd < c.bwd;
+                    }
+                }
+            }
+        }
+    };
+    for (const ContractMode &mode : modes) {
+        check(pm, mode, true);
+        check(pm, mode, false);
+        check(noisy, mode, true);
+    }
+    EXPECT_GT(equal, 0);
+    EXPECT_GT(strict, 0);
+    EXPECT_GT(infeasible, 0);
+}
+
+/**
+ * On a perturbed profile, every cost a calculator returns is the
+ * same whichever order the ranges are read in: each isomorphism
+ * class is costed on its fixed representative, not on whichever
+ * range reached it first.
+ */
+TEST(StageCostFloor, CostsDoNotDependOnReadOrder)
+{
+    std::vector<ContractMode> modes;
+    const ProfiledModel noisy = perturbed(contractModel(modes));
+    const int L = noisy.numLayers();
+    for (const ContractMode &mode : modes) {
+        StageCostCalculator up(noisy, 4, 32, mode.opts);
+        StageCostCalculator down(noisy, 4, 32, mode.opts);
+        std::vector<const StageCost *> ascending;
+        for (int s = 0; s < 4; ++s)
+            for (int i = 0; i < L; ++i)
+                for (int j = i; j < L; ++j)
+                    ascending.push_back(&up.cost(s, i, j));
+        std::size_t k = ascending.size();
+        for (int s = 3; s >= 0; --s) {
+            for (int i = L - 1; i >= 0; --i) {
+                for (int j = L - 1; j >= i; --j) {
+                    const StageCost &a = *ascending[--k];
+                    const StageCost &b = down.cost(s, i, j);
+                    const std::string where =
+                        mode.name + " s=" + std::to_string(s) +
+                        " i=" + std::to_string(i) +
+                        " j=" + std::to_string(j);
+                    EXPECT_EQ(a.feasible, b.feasible) << where;
+                    EXPECT_EQ(bits(a.fwd), bits(b.fwd)) << where;
+                    EXPECT_EQ(bits(a.bwd), bits(b.bwd)) << where;
+                    EXPECT_EQ(a.memPeak, b.memPeak) << where;
+                    EXPECT_EQ(bits(a.replayHidden), bits(b.replayHidden))
+                        << where;
+                    EXPECT_EQ(bits(a.offloadExposed),
+                              bits(b.offloadExposed))
+                        << where;
+                    EXPECT_EQ(a.recompute.saved, b.recompute.saved)
+                        << where;
+                    EXPECT_EQ(a.recompute.offloaded,
+                              b.recompute.offloaded)
+                        << where;
+                }
+            }
+        }
+        EXPECT_EQ(up.evaluations(), down.evaluations()) << mode.name;
+    }
+}
 
 } // namespace
 } // namespace adapipe
