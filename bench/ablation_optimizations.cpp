@@ -39,8 +39,8 @@ runSearch(const ProfiledModel &pm, const std::string &label,
     const int n = pm.train.microBatches(pm.par);
     StageCostOptions opts;
     opts.useIsomorphism = isomorphism;
-    opts.dp.useGcd = gcd;
-    opts.dp.maxBuckets = max_buckets;
+    opts.useGcd = gcd;
+    opts.maxBuckets = max_buckets;
 
     const auto start = std::chrono::steady_clock::now();
     StageCostCalculator calc(pm, p, n, opts);

@@ -55,7 +55,7 @@ main()
             std::vector<std::string> row{
                 std::to_string(seq), full ? "Full" : "No"};
             const auto ranges =
-                evenPartition(pm.numLayers(), par.pipeline);
+                evenPartition(pm.numLayers(), par.pipeline).value();
             for (int s = 0; s < par.pipeline; ++s) {
                 const StageCost c = calc.baselineCost(
                     s, ranges[s].first, ranges[s].second, full);

@@ -34,7 +34,6 @@ showStep(const char *label, const ProfiledModel &pm,
 {
     std::cout << label << "\n";
     Table t({"Stage", "Layers", "Saved units", "F", "B", "Mem"});
-    std::vector<StageTimes> times;
     for (std::size_t s = 0; s < plan.stages.size(); ++s) {
         const StagePlan &sp = plan.stages[s];
         t.addRow({std::to_string(s),
@@ -43,7 +42,6 @@ showStep(const char *label, const ProfiledModel &pm,
                       std::to_string(sp.totalUnits),
                   formatSeconds(sp.timeFwd), formatSeconds(sp.timeBwd),
                   formatBytes(sp.memPeak)});
-        times.push_back({sp.timeFwd, sp.timeBwd});
     }
     t.print(std::cout);
     std::cout << "warmup " << formatSeconds(plan.timing.warmup)
@@ -53,7 +51,8 @@ showStep(const char *label, const ProfiledModel &pm,
     const Schedule sched =
         build1F1B(static_cast<int>(plan.stages.size()),
                   plan.microBatches);
-    std::cout << renderTimeline(sched, simulate(sched, times, {}), 90)
+    std::cout << renderTimeline(
+                     sched, simulate(sched, planStageTimes(plan), {}), 90)
               << "\n";
 }
 

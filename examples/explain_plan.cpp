@@ -66,10 +66,8 @@ main(int argc, char **argv)
 
     // Recompute the phase decomposition from the stage times to
     // cross-check the stored timing.
-    std::vector<StageTimes> times;
-    for (const auto &sp : plan.stages)
-        times.push_back({sp.timeFwd, sp.timeBwd});
-    const PipelineTiming t = evaluate1F1B(times, plan.microBatches);
+    const PipelineTiming t =
+        evaluate1F1B(planStageTimes(plan), plan.microBatches);
 
     Seconds busy = 0;
     for (const auto &sp : plan.stages)

@@ -136,12 +136,10 @@ main(int argc, char **argv)
 
     const std::string trace_path = cli.getString("trace-out");
     if (!trace_path.empty()) {
-        std::vector<StageTimes> times;
-        for (const auto &sp : result.plan.stages)
-            times.push_back({sp.timeFwd, sp.timeBwd});
         const Schedule sched =
             build1F1B(par.pipeline, result.plan.microBatches);
-        const SimResult sim = simulate(sched, times, {});
+        const SimResult sim =
+            simulate(sched, planStageTimes(result.plan), {});
         const ParseStatus wrote =
             writeTextFile(trace_path, toChromeTrace(sched, sim) + "\n");
         if (!wrote.ok()) {

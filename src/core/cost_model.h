@@ -27,13 +27,6 @@
 
 namespace adapipe {
 
-/** Forward/backward time of one stage for one micro-batch. */
-struct StageTimes
-{
-    Seconds fwd = 0;
-    Seconds bwd = 0;
-};
-
 /**
  * Evaluate the 1F1B cost model for per-stage times @p stages and
  * @p n micro-batches.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 
 #include "core/cost_model.h"
 #include "obs/macros.h"
@@ -211,55 +212,47 @@ solveAdaptivePartition(StageCostCalculator &calc, int num_layers, int p,
     return result;
 }
 
-PartitionDpResult
-evaluateFixedPartition(StageCostCalculator &calc,
-                       const std::vector<std::pair<int, int>> &ranges,
-                       int n, std::optional<RecomputeBaseline> baseline)
-{
-    const int p = static_cast<int>(ranges.size());
-    ADAPIPE_ASSERT(p >= 1, "empty partition");
-
-    PartitionDpResult result;
-    result.ranges = ranges;
-    std::vector<StageTimes> times(p);
-    for (int s = 0; s < p; ++s) {
-        const auto [i, j] = ranges[s];
-        StageCost c = baseline
-                          ? calc.baselineCost(s, i, j, *baseline)
-                          : calc.cost(s, i, j);
-        if (!c.feasible)
-            return result; // infeasible, ranges kept for diagnosis
-        times[s] = {c.fwd, c.bwd};
-    }
-    result.feasible = true;
-    result.timing = evaluate1F1B(times, n);
-    return result;
-}
-
-std::vector<std::pair<int, int>>
-evenPartition(int num_layers, int p)
+ParseResult<std::vector<std::pair<int, int>>>
+evenPartition(int num_layers, int p, int v)
 {
     ADAPIPE_ASSERT(num_layers >= 2 && (num_layers - 2) % 2 == 0,
                    "layer sequence must be [embed, blocks..., head]");
+    ADAPIPE_ASSERT(p >= 1 && v >= 1, "bad split: p=", p, ", v=", v);
     const int blocks = (num_layers - 2) / 2;
-    ADAPIPE_ASSERT(blocks >= p, "fewer blocks than stages");
+    const int chunks = v * p;
+    if (blocks < chunks) {
+        std::ostringstream oss;
+        if (v == 1) {
+            oss << "even partition cannot split " << blocks
+                << " attention blocks across " << p
+                << " stages (needs at least one block per stage)";
+        } else {
+            oss << "interleaved partition cannot split " << blocks
+                << " attention blocks across " << chunks
+                << " virtual chunks (pipeline " << p
+                << " * virtual_stages " << v << ")";
+        }
+        return ParseResult<std::vector<std::pair<int, int>>>::failure(
+            oss.str());
+    }
 
-    const int base = blocks / p;
-    const int extra = blocks % p;
+    const int base = blocks / chunks;
+    const int extra = blocks % chunks;
     std::vector<std::pair<int, int>> ranges;
     int layer = 1; // first attention layer (0 is the embedding)
-    for (int s = 0; s < p; ++s) {
-        const int nblocks = base + (s < extra ? 1 : 0);
+    for (int g = 0; g < chunks; ++g) {
+        const int nblocks = base + (g < extra ? 1 : 0);
         int first = layer;
         int last = layer + 2 * nblocks - 1;
-        if (s == 0)
-            first = 0; // embedding joins stage 0
-        if (s == p - 1)
-            last += 1; // decoding head joins the last stage
+        if (g == 0)
+            first = 0; // embedding joins chunk 0
+        if (g == chunks - 1)
+            last += 1; // decoding head joins the last chunk
         ranges.emplace_back(first, last);
         layer += 2 * nblocks;
     }
-    return ranges;
+    return ParseResult<std::vector<std::pair<int, int>>>::success(
+        std::move(ranges));
 }
 
 } // namespace adapipe

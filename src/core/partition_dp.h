@@ -30,12 +30,12 @@
 #ifndef ADAPIPE_CORE_PARTITION_DP_H
 #define ADAPIPE_CORE_PARTITION_DP_H
 
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/plan.h"
 #include "core/stage_cost.h"
+#include "util/parse_result.h"
 
 namespace adapipe {
 
@@ -64,28 +64,17 @@ PartitionDpResult solveAdaptivePartition(StageCostCalculator &calc,
                                          int num_layers, int p, int n);
 
 /**
- * Evaluate a *fixed* partition (used by Even Partitioning and the
- * DAPPLE baselines) through the same cost model.
- *
- * @param calc stage cost oracle
- * @param ranges inclusive layer range per stage
- * @param n micro-batches
- * @param baseline when set, per-stage costs use this uniform
- *        recomputation policy instead of the knapsack
- */
-PartitionDpResult
-evaluateFixedPartition(StageCostCalculator &calc,
-                       const std::vector<std::pair<int, int>> &ranges,
-                       int n,
-                       std::optional<RecomputeBaseline> baseline = {});
-
-/**
  * The baselines' uniform layer split: decoder blocks distributed as
- * evenly as possible over p stages (earlier stages take the
- * remainder), embedding glued to stage 0 and the decoding head to
- * stage p-1.
+ * evenly as possible over v * p chunks (earlier chunks take the
+ * remainder), embedding glued to chunk 0 and the decoding head to
+ * the last chunk. With v > 1 chunk g runs on device g % p, as in
+ * Megatron's interleaved 1F1B.
+ *
+ * @return the inclusive layer range per chunk, chunk 0 first, or an
+ *         error when some chunk would get no attention block
  */
-std::vector<std::pair<int, int>> evenPartition(int num_layers, int p);
+ParseResult<std::vector<std::pair<int, int>>>
+evenPartition(int num_layers, int p, int v = 1);
 
 } // namespace adapipe
 

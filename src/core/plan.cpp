@@ -17,12 +17,36 @@ planMethodName(PlanMethod method)
     return "?";
 }
 
+std::optional<RecomputeBaseline>
+uniformPolicy(PlanMethod method)
+{
+    switch (method) {
+      case PlanMethod::DappleFull: return RecomputeBaseline::Full;
+      case PlanMethod::DappleNon: return RecomputeBaseline::None;
+      case PlanMethod::DappleSelective:
+        return RecomputeBaseline::Selective;
+      case PlanMethod::AdaPipe:
+      case PlanMethod::EvenPartition: break;
+    }
+    return std::nullopt;
+}
+
 const PipelinePlan &
 PlanResult::value() const
 {
     ADAPIPE_ASSERT(ok, "accessing plan of infeasible result: ",
                    oomReason);
     return plan;
+}
+
+std::vector<StageTimes>
+planStageTimes(const PipelinePlan &plan)
+{
+    std::vector<StageTimes> times;
+    times.reserve(plan.stages.size());
+    for (const StagePlan &sp : plan.stages)
+        times.push_back({sp.timeFwd, sp.timeBwd});
+    return times;
 }
 
 } // namespace adapipe

@@ -6,6 +6,7 @@
 #ifndef ADAPIPE_CORE_PLAN_H
 #define ADAPIPE_CORE_PLAN_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,20 @@ enum class RecomputeBaseline {
     Full,
     None,
     Selective,
+};
+
+/**
+ * @return the uniform policy a baseline method applies to every
+ *         stage, or none for the methods that run the knapsack
+ *         (AdaPipe, Even Partitioning)
+ */
+std::optional<RecomputeBaseline> uniformPolicy(PlanMethod method);
+
+/** Forward/backward time of one stage for one micro-batch. */
+struct StageTimes
+{
+    Seconds fwd = 0;
+    Seconds bwd = 0;
 };
 
 /**
@@ -170,6 +185,9 @@ struct PlanResult
     /** @return a feasible plan or panics (for callers that checked). */
     const PipelinePlan &value() const;
 };
+
+/** @return per-stage F/B times of @p plan, stage 0 first. */
+std::vector<StageTimes> planStageTimes(const PipelinePlan &plan);
 
 } // namespace adapipe
 

@@ -10,28 +10,30 @@
 
 namespace adapipe {
 
-namespace {
-
-/** Assemble StagePlan entries for the chosen ranges. */
-PipelinePlan
-assemblePlan(const ProfiledModel &pm, PlanMethod method,
-             StageCostCalculator &calc,
-             const std::vector<std::pair<int, int>> &ranges, int n,
-             std::optional<RecomputeBaseline> baseline)
+StageAssembly
+assembleStages(const ProfiledModel &pm, PlanMethod method,
+               StageCostCalculator &calc,
+               const std::vector<std::pair<int, int>> &ranges)
 {
-    PipelinePlan plan;
+    StageAssembly out;
+    PipelinePlan &plan = out.plan;
     plan.method = method;
     plan.par = pm.par;
     plan.train = pm.train;
-    plan.microBatches = n;
+    plan.microBatches = pm.train.microBatches(pm.par);
 
-    std::vector<StageTimes> times;
+    const std::optional<RecomputeBaseline> policy = uniformPolicy(method);
     const int p = static_cast<int>(ranges.size());
     for (int s = 0; s < p; ++s) {
         const auto [i, j] = ranges[s];
-        const StageCost c = baseline
-                                ? calc.baselineCost(s, i, j, *baseline)
+        const StageCost c = policy
+                                ? calc.baselineCost(s, i, j, *policy)
                                 : calc.cost(s, i, j);
+        if (!c.feasible) {
+            out.failedStage = s;
+            out.failedCost = c;
+            return out;
+        }
         StagePlan sp;
         sp.firstLayer = i;
         sp.lastLayer = j;
@@ -50,36 +52,9 @@ assemblePlan(const ProfiledModel &pm, PlanMethod method,
         if (c.offloadedUnits > 0)
             plan.offload = true;
         plan.stages.push_back(std::move(sp));
-        times.push_back({c.fwd, c.bwd});
     }
-    plan.timing = evaluate1F1B(times, n);
-    return plan;
+    return out;
 }
-
-/** Diagnose the first infeasible stage of a fixed partition. */
-std::string
-diagnoseOom(StageCostCalculator &calc,
-            const std::vector<std::pair<int, int>> &ranges,
-            std::optional<RecomputeBaseline> baseline)
-{
-    const int p = static_cast<int>(ranges.size());
-    for (int s = 0; s < p; ++s) {
-        const auto [i, j] = ranges[s];
-        const StageCost c = baseline
-                                ? calc.baselineCost(s, i, j, *baseline)
-                                : calc.cost(s, i, j);
-        if (!c.feasible) {
-            std::ostringstream oss;
-            oss << "stage " << s << " (layers " << i << "-" << j
-                << ") needs " << formatBytes(c.memPeak)
-                << " of " << formatBytes(calc.capacity());
-            return oss.str();
-        }
-    }
-    return "no memory-feasible partition";
-}
-
-} // namespace
 
 PlanResult
 makePlan(const ProfiledModel &pm, PlanMethod method,
@@ -95,54 +70,41 @@ makePlan(const ProfiledModel &pm, PlanMethod method,
 
     StageCostCalculator calc(pm, p, n, opts);
     PlanResult result;
+    const auto fail = [&](std::string reason) {
+        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
+        result.oomReason = std::move(reason);
+        return result;
+    };
 
+    // AdaPipe searches the partition; the other methods take the
+    // even split, which cannot express p > blocks (the adaptive DP
+    // can: it emits block-less pass-through stages).
+    std::vector<std::pair<int, int>> ranges;
     if (method == PlanMethod::AdaPipe) {
-        const PartitionDpResult dp =
-            solveAdaptivePartition(calc, L, p, n);
-        if (!dp.feasible) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-            result.oomReason = "no memory-feasible partition";
-            return result;
-        }
-        result.ok = true;
-        result.plan =
-            assemblePlan(pm, method, calc, dp.ranges, n, {});
-        return result;
+        PartitionDpResult dp = solveAdaptivePartition(calc, L, p, n);
+        if (!dp.feasible)
+            return fail("no memory-feasible partition");
+        ranges = std::move(dp.ranges);
+    } else {
+        auto even = evenPartition(L, p);
+        if (!even.ok())
+            return fail(even.error());
+        ranges = std::move(even).value();
     }
 
-    // evenPartition() gives every stage at least one attention
-    // block, so it cannot express p > blocks (the adaptive DP can:
-    // it emits block-less pass-through stages). Fail the plan
-    // gracefully instead of tripping the partitioner's assert.
-    const int blocks = (L - 2) / 2;
-    if (blocks < p) {
-        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
+    StageAssembly assembled = assembleStages(pm, method, calc, ranges);
+    if (assembled.failedStage >= 0) {
+        const auto [i, j] = ranges[assembled.failedStage];
         std::ostringstream oss;
-        oss << "even partition cannot split " << blocks
-            << " attention blocks across " << p
-            << " stages (needs at least one block per stage)";
-        result.oomReason = oss.str();
-        return result;
-    }
-    const std::vector<std::pair<int, int>> ranges =
-        evenPartition(L, p);
-    std::optional<RecomputeBaseline> baseline;
-    if (method == PlanMethod::DappleFull)
-        baseline = RecomputeBaseline::Full;
-    else if (method == PlanMethod::DappleNon)
-        baseline = RecomputeBaseline::None;
-    else if (method == PlanMethod::DappleSelective)
-        baseline = RecomputeBaseline::Selective;
-
-    const PartitionDpResult fixed =
-        evaluateFixedPartition(calc, ranges, n, baseline);
-    if (!fixed.feasible) {
-        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-        result.oomReason = diagnoseOom(calc, ranges, baseline);
-        return result;
+        oss << "stage " << assembled.failedStage << " (layers " << i
+            << "-" << j << ") needs "
+            << formatBytes(assembled.failedCost.memPeak) << " of "
+            << formatBytes(calc.capacity());
+        return fail(oss.str());
     }
     result.ok = true;
-    result.plan = assemblePlan(pm, method, calc, ranges, n, baseline);
+    result.plan = std::move(assembled.plan);
+    result.plan.timing = evaluate1F1B(planStageTimes(result.plan), n);
     return result;
 }
 

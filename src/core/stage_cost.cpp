@@ -275,6 +275,7 @@ StageCostCalculator::compute(int s, int i, int j)
         result.memPeak = v.noRecomputeTotal;
     } else if (!v.feasible) {
         result.memPeak = v.minimal;
+        result.recomputeBuffer = mem.buffer;
         return result;
     } else {
         // Gather the range's units. With offloading enabled, the
@@ -288,7 +289,9 @@ StageCostCalculator::compute(int s, int i, int j)
             for (const auto &u : pm_.layers[l].units)
                 units_.push_back(u);
         }
-        RecomputeDpOptions dp_opts = opts_.dp;
+        RecomputeDpOptions dp_opts;
+        dp_opts.maxBuckets = opts_.maxBuckets;
+        dp_opts.useGcd = opts_.useGcd;
         dp_opts.overlapBubble = overlapBubble(s);
         dp_opts.offload = opts_.offload;
         if (dp_opts.offload.enabled &&
@@ -342,6 +345,7 @@ StageCostCalculator::compute(int s, int i, int j)
         // and backward: they occupy no device bytes per micro-batch
         // (savedBytes already excludes them), so the peak formula is
         // unchanged.
+        result.recomputeBuffer = mem.buffer;
         result.memPeak =
             mem.staticMem + mem.buffer +
             static_cast<Bytes>(m) *
@@ -411,6 +415,7 @@ StageCostCalculator::baselineCost(int s, int i, int j,
         saved_per_mb =
             mem_model_.fullRecomputeSavedPerMb(pm_.rawLayers, i, j);
         result.bwd = bwd_all + fwd_blocks;
+        result.recomputeBuffer = mem.buffer;
         // Only the Embedding/DecodingHead units stay saved.
         for (int l = i; l <= j; ++l) {
             if (pm_.layers[l].kind == LayerKind::Embedding ||
@@ -419,29 +424,24 @@ StageCostCalculator::baselineCost(int s, int i, int j,
                     static_cast<int>(pm_.layers[l].units.size());
             }
         }
-        result.memPeak = mem.staticMem + mem.buffer +
-                         static_cast<Bytes>(m) *
-                             (mem.input + saved_per_mb);
         break;
       case RecomputeBaseline::None:
         saved_per_mb =
             mem_model_.noRecomputeSavedPerMb(pm_.rawLayers, i, j);
         result.bwd = bwd_all;
         saved_units = total_units;
-        result.memPeak = mem.staticMem +
-                         static_cast<Bytes>(m) *
-                             (mem.input + saved_per_mb);
         break;
       case RecomputeBaseline::Selective:
         saved_per_mb = mem_model_.selectiveRecomputeSavedPerMb(
             pm_.rawLayers, i, j);
         result.bwd = bwd_all + fwd_selective;
+        // Bounded by one layer's recomputed attention internals.
+        result.recomputeBuffer = selective_buffer;
         saved_units = total_units - selective_units;
-        result.memPeak = mem.staticMem + selective_buffer +
-                         static_cast<Bytes>(m) *
-                             (mem.input + saved_per_mb);
         break;
     }
+    result.memPeak = mem.staticMem + result.recomputeBuffer +
+                     static_cast<Bytes>(m) * (mem.input + saved_per_mb);
     result.fwd = fwd_all;
     // Uniform policies never overlap: all replay is critical.
     result.replayCritical = result.bwd - bwd_all;

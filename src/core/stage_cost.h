@@ -83,6 +83,12 @@ struct StageCost
     Seconds bwd = 0;
     /** Predicted peak memory of the stage. */
     Bytes memPeak = 0;
+    /**
+     * Rematerialisation buffer included in memPeak: scratch for one
+     * layer's recomputed intermediates (0 on paths that plan no
+     * replay).
+     */
+    Bytes recomputeBuffer = 0;
     /** Knapsack outcome (decision vector over the range's units). */
     RecomputePlanResult recompute;
     /** Total computation units in the range. */
@@ -142,8 +148,11 @@ struct StageCostOptions
     double memBudgetFraction = 0.875;
     /** Exploit range isomorphism (Sec. 5.3); off for the ablation. */
     bool useIsomorphism = true;
-    /** Knapsack solver knobs. */
-    RecomputeDpOptions dp;
+    /** Knapsack weight-bucket cap (RecomputeDpOptions::maxBuckets). */
+    int maxBuckets = RecomputeDpOptions{}.maxBuckets;
+    /** Knapsack GCD quantisation (RecomputeDpOptions::useGcd); off
+     *  for the ablation. */
+    bool useGcd = RecomputeDpOptions{}.useGcd;
     /**
      * Optional tri-choice keep/recompute/offload mode (see
      * OffloadOptions in recompute_dp.h). Copied into the solver's

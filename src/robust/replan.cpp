@@ -115,16 +115,6 @@ replanDegradedIncremental(const ProfiledModel &pm,
     return replanDegraded(pm, scenario, opts);
 }
 
-std::vector<StageTimes>
-planStageTimes(const PipelinePlan &plan)
-{
-    std::vector<StageTimes> times;
-    times.reserve(plan.stages.size());
-    for (const StagePlan &sp : plan.stages)
-        times.push_back({sp.timeFwd, sp.timeBwd});
-    return times;
-}
-
 Seconds
 simulateUnderFault(const std::vector<StageTimes> &healthy_times,
                    int micro_batches, const FaultSpec &faults)

@@ -108,9 +108,6 @@ ReplanResult replanDegradedIncremental(const ProfiledModel &pm,
                                        const PipelinePlan &base,
                                        StageCostOptions opts = {});
 
-/** @return per-stage F/B times of @p plan, stage 0 first. */
-std::vector<StageTimes> planStageTimes(const PipelinePlan &plan);
-
 /**
  * Simulate one 1F1B iteration of a plan under @p faults.
  *

@@ -8,7 +8,6 @@
 #include "obs/macros.h"
 #include "robust/replan_io.h"
 #include "sim/interleaved_planner.h"
-#include "util/canonical_json.h"
 #include "util/stats.h"
 
 namespace adapipe {
@@ -149,13 +148,13 @@ PlanService::handleLine(const std::string &line)
                      [&] { return handleExplain(req.plan, fp, key); });
       }
       case RequestKind::Replan: {
+        // Fault reports carry measured factors, so a replan's line is
+        // almost never asked for again: answer it directly, uncached.
         replan_requests_.fetch_add(1, std::memory_order_relaxed);
-        const std::string fp = requestFingerprint(req.plan);
-        const std::string key = "replan:" + fp + ":" +
-                                jsonFingerprint(faultToJson(req.fault));
-        return serve(key, [&] {
-            return handleReplan(req.plan, req.fault, fp, key);
-        });
+        std::string response = handleReplan(
+            req.plan, req.fault, requestFingerprint(req.plan));
+        recordLatency(nowMicros() - start_us, false);
+        return response;
       }
     }
     ADAPIPE_FATAL("unhandled request kind");
@@ -268,7 +267,7 @@ PlanService::handleExplain(const PlanRequest &request,
 std::string
 PlanService::handleReplan(const PlanRequest &request,
                           const DegradedScenario &fault,
-                          const std::string &fp, const std::string &key)
+                          const std::string &fp)
 {
     PlanResult base = basePlan(request, fp, nullptr);
     if (!base.ok) {
@@ -305,9 +304,7 @@ PlanService::handleReplan(const PlanRequest &request,
     JsonValue envelope = successEnvelope("replan");
     envelope.set("fingerprint", JsonValue::string(fp));
     envelope.set("degraded_plan", degradedPlanToJson(doc));
-    const std::string line = envelope.dump(0);
-    cache_.put(key, line);
-    return line;
+    return envelope.dump(0);
 }
 
 std::string

@@ -74,16 +74,15 @@ class PlanService
     PlanCache &cache() { return cache_; }
 
   private:
-    /** The cold handlers take the request's fingerprint @p fp and
-     *  the cache @p key its response goes under, both computed once
-     *  by handleLine(). */
+    /** The cold handlers take the request's fingerprint @p fp,
+     *  computed once by handleLine(); handleExplain() caches its
+     *  response under @p key, handleReplan() caches none. */
     std::string handleExplain(const PlanRequest &request,
                               const std::string &fp,
                               const std::string &key);
     std::string handleReplan(const PlanRequest &request,
                              const DegradedScenario &fault,
-                             const std::string &fp,
-                             const std::string &key);
+                             const std::string &fp);
     std::string handleStats();
 
     /**

@@ -405,21 +405,6 @@ requestFingerprint(const PlanRequest &request)
     return jsonFingerprint(planRequestToJson(request));
 }
 
-JsonValue
-faultToJson(const DegradedScenario &fault)
-{
-    JsonValue root = JsonValue::object();
-    root.set("straggler_stage",
-             JsonValue::integer(fault.stragglerStage));
-    root.set("straggler_factor",
-             JsonValue::number(fault.stragglerFactor));
-    root.set("mem_factor", JsonValue::number(fault.memFactor));
-    root.set("lost_stages", JsonValue::integer(fault.lostStages));
-    root.set("host_link_factor",
-             JsonValue::number(fault.hostLinkFactor));
-    return root;
-}
-
 std::string
 errorResponse(const std::string &kind, const std::string &error)
 {

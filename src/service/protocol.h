@@ -119,9 +119,6 @@ JsonValue planRequestToJson(const PlanRequest &request);
  */
 std::string requestFingerprint(const PlanRequest &request);
 
-/** Normalised JSON form of a fault report (for replan cache keys). */
-JsonValue faultToJson(const DegradedScenario &fault);
-
 /** @name Response builders (compact single-line JSON)
  *  @{
  */

@@ -27,6 +27,15 @@ oomMessage(const std::vector<Bytes> &mem, Bytes capacity)
     return "";
 }
 
+/** An infeasible result carrying @p reason. */
+EndToEndResult
+infeasible(std::string reason)
+{
+    EndToEndResult result;
+    result.oomReason = std::move(reason);
+    return result;
+}
+
 } // namespace
 
 const char *
@@ -47,17 +56,12 @@ simulatePlan(const ProfiledModel &pm, const PipelinePlan &plan)
     const int p = static_cast<int>(plan.stages.size());
     ADAPIPE_ASSERT(p == pm.par.pipeline,
                    "plan does not match the profiled model");
-    std::vector<StageTimes> times;
-    times.reserve(p);
-    for (const auto &sp : plan.stages)
-        times.push_back({sp.timeFwd, sp.timeBwd});
-
     // P2P time is already charged inside the stage times by the
     // planner (StageCostCalculator, every stage but the first), so
     // the simulator runs with zero transfer cost to avoid double
     // counting.
-    const SimResult sim =
-        simulate(build1F1B(p, plan.microBatches), times, {});
+    const SimResult sim = simulate(build1F1B(p, plan.microBatches),
+                                   planStageTimes(plan), {});
 
     EndToEndResult result;
     result.feasible = true;
@@ -71,64 +75,16 @@ simulatePlan(const ProfiledModel &pm, const PipelinePlan &plan)
     return result;
 }
 
-namespace {
-
-/** Per-micro-batch saved activations under a uniform policy. */
-Bytes
-activationsPerMb(const MemoryModel &mem_model, const ProfiledModel &pm,
-                 RecomputeBaseline mode, int i, int j)
-{
-    switch (mode) {
-      case RecomputeBaseline::Full:
-        return mem_model.fullRecomputeSavedPerMb(pm.rawLayers, i, j);
-      case RecomputeBaseline::None:
-        return mem_model.noRecomputeSavedPerMb(pm.rawLayers, i, j);
-      case RecomputeBaseline::Selective:
-        return mem_model.selectiveRecomputeSavedPerMb(pm.rawLayers, i,
-                                                      j);
-    }
-    return 0;
-}
-
-/** Rematerialisation buffer under a uniform policy. */
-Bytes
-bufferBytes(const MemoryModel &mem_model, const ProfiledModel &pm,
-            RecomputeBaseline mode, int i, int j)
-{
-    switch (mode) {
-      case RecomputeBaseline::Full:
-        return mem_model.recomputeBufferBytes(pm.rawLayers, i, j);
-      case RecomputeBaseline::None:
-        return 0;
-      case RecomputeBaseline::Selective: {
-        // Bounded by one layer's recomputed attention internals.
-        Bytes buf = 0;
-        for (int l = i; l <= j; ++l) {
-            Bytes layer = 0;
-            for (const auto &u : pm.rawLayers[l].units) {
-                if (u.kind == UnitKind::AttnScores ||
-                    u.kind == UnitKind::AttnSoftmax ||
-                    u.kind == UnitKind::AttnContext) {
-                    layer += u.memSaved;
-                }
-            }
-            buf = std::max(buf, layer);
-        }
-        return buf;
-      }
-    }
-    return 0;
-}
-
-} // namespace
-
 EndToEndResult
 evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
                  RecomputeBaseline mode, StageCostOptions opts)
 {
     const int p = pm.par.pipeline;
     const int n = pm.train.microBatches(pm.par);
-    const auto ranges = evenPartition(pm.numLayers(), p);
+    const auto even = evenPartition(pm.numLayers(), p);
+    if (!even.ok())
+        return infeasible(even.error());
+    const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
     MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
 
@@ -143,10 +99,9 @@ evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
         times[s] = {c.fwd, c.bwd};
         static_mem[s] =
             mem_model.staticMemory(pm.rangeParams(i, j));
-        const Bytes input = (i > 0) ? pm.stageInputBytes : 0;
         act_per_mb[s] =
-            input + activationsPerMb(mem_model, pm, mode, i, j);
-        buffer[s] = bufferBytes(mem_model, pm, mode, i, j);
+            (i > 0 ? pm.stageInputBytes : 0) + c.recompute.savedBytes;
+        buffer[s] = c.recomputeBuffer;
     }
 
     Schedule schedule;
@@ -165,7 +120,9 @@ evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
         break;
     }
 
-    const SimResult sim = simulate(schedule, times, {pm.p2pTime});
+    // P2P is already charged inside the stage times, as in
+    // simulatePlan().
+    const SimResult sim = simulate(schedule, times, {});
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;
@@ -216,7 +173,10 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
 {
     const int p = pm.par.pipeline;
     const int n = pm.train.microBatches(pm.par);
-    const auto ranges = evenPartition(pm.numLayers(), p);
+    const auto even = evenPartition(pm.numLayers(), p);
+    if (!even.ok())
+        return infeasible(even.error());
+    const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
     MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
 
@@ -229,12 +189,11 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
         const auto [i, j] = ranges[s];
         const StageCost c = calc.baselineCost(s, i, j, mode);
         times[s] = {c.fwd, c.bwd};
-        const Bytes input = (i > 0) ? pm.stageInputBytes : 0;
         act_per_mb[s] =
-            input + activationsPerMb(mem_model, pm, mode, i, j);
+            (i > 0 ? pm.stageInputBytes : 0) + c.recompute.savedBytes;
         const Bytes fixed =
             mem_model.staticMemory(pm.rangeParams(i, j)).total() +
-            bufferBytes(mem_model, pm, mode, i, j);
+            c.recomputeBuffer;
         act_budget[s] = static_cast<std::int64_t>(pm.memCapacity) -
                         static_cast<std::int64_t>(fixed);
         const std::int64_t demand =
@@ -296,8 +255,7 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
                         std::max<std::int64_t>(0, used_act[s]));
     }
 
-    const SimResult sim =
-        simulate(build1F1B(p, n), times, {pm.p2pTime});
+    const SimResult sim = simulate(build1F1B(p, n), times, {});
     result.iterationTime = sim.iterationTime;
     result.peakAlive = sim.peakAlive;
     result.bubbleTime = sim.totalBubbleTime();
@@ -317,30 +275,16 @@ evaluateInterleaved(const ProfiledModel &pm, int v,
     // (with the builder's field-naming diagnostic) instead of
     // aborting — v comes straight from CLI/bench sweeps.
     ParseResult<Schedule> built = tryBuildInterleaved1F1B(p, n, v);
-    if (!built.ok()) {
-        EndToEndResult result;
-        result.feasible = false;
-        result.oomReason = built.error();
-        return result;
-    }
+    if (!built.ok())
+        return infeasible(built.error());
 
     // Chunk the layer sequence into v * p virtual stages; chunk g
-    // runs on device g % p. Every chunk needs at least one attention
-    // block for the even split to exist.
+    // runs on device g % p.
     const int chunks = v * p;
-    const int blocks = (pm.numLayers() - 2) / 2;
-    if (blocks < chunks) {
-        EndToEndResult result;
-        result.feasible = false;
-        std::ostringstream oss;
-        oss << "interleaved partition cannot split " << blocks
-            << " attention blocks across " << chunks
-            << " virtual chunks (pipeline " << p
-            << " * virtual_stages " << v << ")";
-        result.oomReason = oss.str();
-        return result;
-    }
-    const auto ranges = evenPartition(pm.numLayers(), chunks);
+    const auto even = evenPartition(pm.numLayers(), p, v);
+    if (!even.ok())
+        return infeasible(even.error());
+    const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
     MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
 
@@ -355,14 +299,12 @@ evaluateInterleaved(const ProfiledModel &pm, int v,
         times[g] = {c.fwd, c.bwd};
         static_mem[g] =
             mem_model.staticMemory(pm.rangeParams(i, j)).total();
-        const Bytes input = (i > 0) ? pm.stageInputBytes : 0;
         act_per_mb[g] =
-            input + activationsPerMb(mem_model, pm, mode, i, j);
-        buffer[g] = bufferBytes(mem_model, pm, mode, i, j);
+            (i > 0 ? pm.stageInputBytes : 0) + c.recompute.savedBytes;
+        buffer[g] = c.recomputeBuffer;
     }
 
-    const Schedule schedule = std::move(built).value();
-    const SimResult sim = simulate(schedule, times, {pm.p2pTime});
+    const SimResult sim = simulate(built.value(), times, {});
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;

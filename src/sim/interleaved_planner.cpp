@@ -1,8 +1,8 @@
 #include "sim/interleaved_planner.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/partition_dp.h"
@@ -45,29 +45,24 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
     const int L = pm.numLayers();
     const int n = pm.train.microBatches(pm.par);
     PlanResult result;
+    const auto fail = [&](std::string reason) {
+        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
+        result.oomReason = std::move(reason);
+        return result;
+    };
 
     ParseResult<Schedule> built = tryBuildInterleaved1F1B(p, n, v);
-    if (!built.ok()) {
-        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-        result.oomReason = built.error();
-        return result;
-    }
+    if (!built.ok())
+        return fail(built.error());
     const Schedule schedule = std::move(built).value();
 
-    // Every chunk needs at least one attention block (same limit the
-    // even partitioner has for plain stages).
+    // Every chunk needs at least one attention block (the limit of
+    // the even chunk split, which AdaPipe is held to as well).
     const int chunks = v * p;
-    const int blocks = (L - 2) / 2;
-    if (blocks < chunks) {
-        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-        std::ostringstream oss;
-        oss << "interleaved partition cannot split " << blocks
-            << " attention blocks across " << chunks
-            << " virtual chunks (pipeline " << p
-            << " * virtual_stages " << v << ")";
-        result.oomReason = oss.str();
-        return result;
-    }
+    auto even = evenPartition(L, p, v);
+    if (!even.ok())
+        return fail(even.error());
+    std::vector<std::pair<int, int>> ranges = std::move(even).value();
 
     // Chunk g's in-flight count is not min(p - g, n): read the exact
     // peaks off the interleaved device order. Each chunk plans
@@ -83,76 +78,32 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
 
     StageCostCalculator calc(pm, chunks, n, chunk_opts);
 
-    std::optional<RecomputeBaseline> baseline;
-    if (method == PlanMethod::DappleFull)
-        baseline = RecomputeBaseline::Full;
-    else if (method == PlanMethod::DappleNon)
-        baseline = RecomputeBaseline::None;
-    else if (method == PlanMethod::DappleSelective)
-        baseline = RecomputeBaseline::Selective;
-
     // AdaPipe partitions the chunk boundaries adaptively (the DP's
     // 1F1B objective over the v*p-position chain is a proxy for the
     // interleaved critical path — the final timing below comes from
     // the simulator). The baselines keep the even chunk split.
-    std::vector<std::pair<int, int>> ranges;
     if (method == PlanMethod::AdaPipe) {
-        const PartitionDpResult dp =
+        PartitionDpResult dp =
             solveAdaptivePartition(calc, L, chunks, n);
-        if (!dp.feasible) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-            result.oomReason =
-                "no memory-feasible interleaved partition";
-            return result;
-        }
-        ranges = dp.ranges;
-    } else {
-        ranges = evenPartition(L, chunks);
+        if (!dp.feasible)
+            return fail("no memory-feasible interleaved partition");
+        ranges = std::move(dp.ranges);
     }
 
-    PipelinePlan plan;
-    plan.method = method;
-    plan.par = pm.par;
-    plan.train = pm.train;
-    plan.microBatches = n;
-    plan.virtualStages = v;
-
-    std::vector<StageTimes> times(chunks);
-    for (int g = 0; g < chunks; ++g) {
+    StageAssembly assembled = assembleStages(pm, method, calc, ranges);
+    if (assembled.failedStage >= 0) {
+        const int g = assembled.failedStage;
         const auto [i, j] = ranges[g];
-        const StageCost c = baseline
-                                ? calc.baselineCost(g, i, j, *baseline)
-                                : calc.cost(g, i, j);
-        if (!c.feasible) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-            std::ostringstream oss;
-            oss << "chunk " << g << " (device " << g % p << ", layers "
-                << i << "-" << j << ") needs " << formatBytes(c.memPeak)
-                << " of its " << formatBytes(calc.capacity())
-                << " share (capacity / " << v << ")";
-            result.oomReason = oss.str();
-            return result;
-        }
-        StagePlan sp;
-        sp.firstLayer = i;
-        sp.lastLayer = j;
-        sp.timeFwd = c.fwd;
-        sp.timeBwd = c.bwd;
-        sp.memPeak = c.memPeak;
-        sp.savedUnits = c.recompute.savedUnits;
-        sp.totalUnits = c.totalUnits;
-        sp.savedMask = c.recompute.saved;
-        sp.overlapBubble = calc.overlapBubble(g);
-        sp.timeReplayHidden = c.replayHidden;
-        sp.timeReplayCritical = c.replayCritical;
-        sp.offloadMask = c.recompute.offloaded;
-        sp.offloadBytes = c.offloadBytes;
-        sp.offloadFetchUs = c.offloadExposed * 1e6;
-        if (c.offloadedUnits > 0)
-            plan.offload = true;
-        plan.stages.push_back(std::move(sp));
-        times[g] = {c.fwd, c.bwd};
+        std::ostringstream oss;
+        oss << "chunk " << g << " (device " << g % p << ", layers "
+            << i << "-" << j << ") needs "
+            << formatBytes(assembled.failedCost.memPeak) << " of its "
+            << formatBytes(calc.capacity()) << " share (capacity / "
+            << v << ")";
+        return fail(oss.str());
     }
+    PipelinePlan &plan = assembled.plan;
+    plan.virtualStages = v;
 
     // The per-chunk capacity/v budgeting is conservative, not exact:
     // verify the real constraint — device d's v chunks together fit
@@ -162,20 +113,19 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
         for (int c = 0; c < v; ++c)
             total += plan.stages[c * p + d].memPeak;
         if (total > real_cap) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
             std::ostringstream oss;
             oss << "device " << d << "'s " << v << " chunks need "
                 << formatBytes(total) << " of "
                 << formatBytes(real_cap);
-            result.oomReason = oss.str();
-            return result;
+            return fail(oss.str());
         }
     }
 
     // P2P is already charged inside the stage times (every stage but
-    // the first), so the simulator runs with zero transfer cost; warmup/ending have
-    // no closed form for the interleaved schedule and are folded
-    // into total.
+    // the first), so the simulator runs with zero transfer cost;
+    // warmup/ending have no closed form for the interleaved schedule
+    // and are folded into total.
+    const std::vector<StageTimes> times = planStageTimes(plan);
     const SimResult sim = simulate(schedule, times, {});
     plan.timing.warmup = 0;
     plan.timing.ending = 0;
@@ -218,11 +168,8 @@ makeOverlapPlan(const ProfiledModel &pm, PlanMethod method, int v,
     }
     const Schedule schedule = std::move(built).value();
 
-    std::vector<StageTimes> times(chunks);
-    for (int g = 0; g < chunks; ++g)
-        times[g] = {lazy.plan.stages[g].timeFwd,
-                    lazy.plan.stages[g].timeBwd};
-    const SimResult sim = simulate(schedule, times, {});
+    const SimResult sim =
+        simulate(schedule, planStageTimes(lazy.plan), {});
 
     // Each device's idle time, spread over its v chunks and the n
     // micro-batches each chunk replays, is the per-micro-batch budget

@@ -78,20 +78,18 @@ TEST_F(EndToEndTest, AdaPipeBeatsDappleFullEndToEnd)
 TEST_F(EndToEndTest, DappleBaselineMatchesPlannerRoute)
 {
     // evaluateBaseline(Dapple, full) and makePlan(DappleFull) are two
-    // routes to the same configuration; their times must agree.
+    // routes to the same configuration. Both charge P2P once, inside
+    // the stage times, and read the same stage costs, so time and
+    // memory agree bit for bit.
     const ProfiledModel pm = profiled();
     const PlanResult planned = makePlan(pm, PlanMethod::DappleFull);
     ASSERT_TRUE(planned.ok);
-    const Seconds via_plan =
-        simulatePlan(pm, planned.plan).iterationTime;
+    const EndToEndResult via_plan = simulatePlan(pm, planned.plan);
     const EndToEndResult via_baseline =
         evaluateBaseline(pm, BaselineSchedule::Dapple, true);
     ASSERT_TRUE(via_baseline.feasible);
-    // evaluateBaseline adds p2p inside the simulator; the plan route
-    // folds it into stage times. Small structural differences are
-    // expected but bounded.
-    EXPECT_NEAR(via_plan, via_baseline.iterationTime,
-                0.05 * via_plan);
+    EXPECT_EQ(via_plan.iterationTime, via_baseline.iterationTime);
+    EXPECT_EQ(via_plan.deviceMem, via_baseline.deviceMem);
 }
 
 TEST_F(EndToEndTest, ChimeraMemoryExceedsDapple)

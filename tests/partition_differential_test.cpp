@@ -179,8 +179,8 @@ struct SearchConfig
            << " frac=" << opts.memBudgetFraction
            << " p2p_time=" << p2p_time
            << " iso=" << opts.useIsomorphism
-           << " buckets=" << opts.dp.maxBuckets
-           << " gcd=" << opts.dp.useGcd
+           << " buckets=" << opts.maxBuckets
+           << " gcd=" << opts.useGcd
            << " offload=" << opts.offload.enabled;
         const auto list = [&os](const char *name, const auto &v) {
             os << ' ' << name << '=';
@@ -251,8 +251,8 @@ drawConfig(std::uint64_t seed)
     c.p2p = rng.uniform() < 0.5;
     o.useIsomorphism = rng.uniform() < 0.85;
     static const int buckets[] = {64, 256, 1024};
-    o.dp.maxBuckets = buckets[rng.uniformInt(0, 2)];
-    o.dp.useGcd = rng.uniform() < 0.9;
+    o.maxBuckets = buckets[rng.uniformInt(0, 2)];
+    o.useGcd = rng.uniform() < 0.9;
 
     // Probe the even split: per-stage peaks and forward times.
     const ProfiledModel pm = profile(c);

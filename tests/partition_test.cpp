@@ -45,7 +45,7 @@ TEST_F(PartitionTest, EvenPartitionCoversAllLayers)
 {
     for (int p : {2, 4, 5, 8}) {
         const int L = 2 * model.numBlocks + 2;
-        const auto ranges = evenPartition(L, p);
+        const auto ranges = evenPartition(L, p).value();
         ASSERT_EQ(static_cast<int>(ranges.size()), p);
         EXPECT_EQ(ranges.front().first, 0);
         EXPECT_EQ(ranges.back().second, L - 1);
@@ -67,11 +67,28 @@ TEST_F(PartitionTest, EvenPartitionCoversAllLayers)
 TEST_F(PartitionTest, EvenPartitionDistributesRemainderToEarlyStages)
 {
     // 10 blocks over 4 stages: 3, 3, 2, 2.
-    const auto ranges = evenPartition(2 * 10 + 2, 4);
+    const auto ranges = evenPartition(2 * 10 + 2, 4).value();
     EXPECT_EQ(ranges[0].second - ranges[0].first + 1, 7); // embed + 3
     EXPECT_EQ(ranges[1].second - ranges[1].first + 1, 6);
     EXPECT_EQ(ranges[2].second - ranges[2].first + 1, 4);
     EXPECT_EQ(ranges[3].second - ranges[3].first + 1, 5); // 2 + head
+    // Interleaved chunks split the same way: v * p chunks in order.
+    EXPECT_EQ(evenPartition(2 * 10 + 2, 2, 2).value(), ranges);
+}
+
+TEST_F(PartitionTest, EvenPartitionReportsFewerBlocksThanChunks)
+{
+    const auto stages = evenPartition(2 * 3 + 2, 4);
+    ASSERT_FALSE(stages.ok());
+    EXPECT_EQ(stages.error(),
+              "even partition cannot split 3 attention blocks across "
+              "4 stages (needs at least one block per stage)");
+    const auto chunks = evenPartition(2 * 3 + 2, 2, 2);
+    ASSERT_FALSE(chunks.ok());
+    EXPECT_EQ(chunks.error(),
+              "interleaved partition cannot split 3 attention blocks "
+              "across 4 virtual chunks (pipeline 2 * virtual_stages "
+              "2)");
 }
 
 TEST_F(PartitionTest, AdaptivePartitionCoversAllLayers)
@@ -96,12 +113,11 @@ TEST_F(PartitionTest, AdaptiveNeverWorseThanEvenPartition)
     StageCostCalculator calc(pm, par.pipeline, n);
     const auto adaptive =
         solveAdaptivePartition(calc, pm.numLayers(), par.pipeline, n);
-    const auto even = evaluateFixedPartition(
-        calc, evenPartition(pm.numLayers(), par.pipeline), n);
+    const PlanResult even = makePlan(pm, PlanMethod::EvenPartition);
     ASSERT_TRUE(adaptive.feasible);
-    ASSERT_TRUE(even.feasible);
+    ASSERT_TRUE(even.ok);
     // The DP optimises over all partitions including the even one.
-    EXPECT_LE(adaptive.timing.total, even.timing.total + 1e-9);
+    EXPECT_LE(adaptive.timing.total, even.plan.timing.total + 1e-9);
 }
 
 TEST_F(PartitionTest, MovesLayersFromEarlyToLateStages)
@@ -222,7 +238,8 @@ TEST_F(PartitionTest, LaterStagesSaveMoreUnits)
     const ProfiledModel pm = profiled();
     const int n = train.microBatches(par);
     StageCostCalculator calc(pm, par.pipeline, n);
-    const auto ranges = evenPartition(pm.numLayers(), par.pipeline);
+    const auto ranges =
+        evenPartition(pm.numLayers(), par.pipeline).value();
     // Compare interior stages with identical ranges shapes: stage 1
     // and stage 2 hold the same layer count here.
     const StageCost &s1 = calc.cost(1, ranges[1].first,
@@ -238,17 +255,14 @@ TEST_F(PartitionTest, LaterStagesSaveMoreUnits)
 TEST_F(PartitionTest, FixedPartitionBaselinesOrdering)
 {
     const ProfiledModel pm = profiled();
-    const int n = train.microBatches(par);
-    StageCostCalculator calc(pm, par.pipeline, n);
-    const auto ranges = evenPartition(pm.numLayers(), par.pipeline);
-
-    const auto adaptive = evaluateFixedPartition(calc, ranges, n);
-    const auto full = evaluateFixedPartition(calc, ranges, n, RecomputeBaseline::Full);
-    ASSERT_TRUE(adaptive.feasible);
-    ASSERT_TRUE(full.feasible);
+    const PlanResult adaptive = makePlan(pm, PlanMethod::EvenPartition);
+    const PlanResult full = makePlan(pm, PlanMethod::DappleFull);
+    ASSERT_TRUE(adaptive.ok);
+    ASSERT_TRUE(full.ok);
     // Adaptive recomputation never recomputes more than full
     // recomputation, so it cannot be slower.
-    EXPECT_LE(adaptive.timing.total, full.timing.total + 1e-9);
+    EXPECT_LE(adaptive.plan.timing.total,
+              full.plan.timing.total + 1e-9);
 }
 
 TEST_F(PartitionTest, RejectsMoreStagesThanLayers)

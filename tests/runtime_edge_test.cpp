@@ -7,7 +7,8 @@
  * blocks and execute as pass-throughs — while the even baseline
  * partition cannot, and used to abort the process from an assert
  * deep inside evenPartition() instead of returning a PlanResult
- * failure.
+ * failure. The baseline evaluators take the same split and must
+ * return the same diagnosis.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/planner.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/plan_mapping.h"
+#include "sim/baseline_eval.h"
 
 #include "runtime_fixtures.h"
 
@@ -49,6 +51,25 @@ TEST(RuntimeEdge, EvenPartitionRejectsMoreStagesThanBlocks)
           PlanMethod::DappleNon, PlanMethod::DappleSelective}) {
         const PlanResult result = planTinyLm(cfg, p, 4, method);
         EXPECT_FALSE(result.ok);
+        EXPECT_NE(result.oomReason.find("even partition"),
+                  std::string::npos)
+            << result.oomReason;
+    }
+
+    // The baseline evaluators take the same even split and report
+    // the same diagnosis as an infeasible result.
+    const ProfiledModel pm = profileTinyLm(cfg, p, 4);
+    std::vector<EndToEndResult> evaluated;
+    for (const BaselineSchedule sched :
+         {BaselineSchedule::Dapple, BaselineSchedule::GPipe,
+          BaselineSchedule::Chimera, BaselineSchedule::ChimeraD})
+        evaluated.push_back(
+            evaluateBaseline(pm, sched, RecomputeBaseline::Full));
+    evaluated.push_back(evaluateBPipe(pm, RecomputeBaseline::Full));
+    evaluated.push_back(
+        evaluateInterleaved(pm, 1, RecomputeBaseline::Full));
+    for (const EndToEndResult &result : evaluated) {
+        EXPECT_FALSE(result.feasible);
         EXPECT_NE(result.oomReason.find("even partition"),
                   std::string::npos)
             << result.oomReason;

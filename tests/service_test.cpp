@@ -456,6 +456,35 @@ TEST(ServiceReplan, RoundTripsProvenanceThroughReplanIo)
               planToJsonString(doc.value().plan, 0));
 }
 
+TEST(ServiceReplan, RepliesBypassTheResponseCache)
+{
+    // Fault reports carry measured factors, so replan responses are
+    // not cached: distinct replans leave only their base plans in the
+    // cache.
+    PlanService service;
+    for (const int seq : {64, 128}) {
+        for (const char *factor : {"1.5", "2.0", "3.0"}) {
+            const std::string response = service.handleLine(
+                tinyRequestLine("replan", 2, seq,
+                                std::string("{\"straggler_stage\": 0, "
+                                            "\"straggler_factor\": ") +
+                                    factor + "}"));
+            ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u)
+                << response;
+        }
+    }
+    EXPECT_EQ(service.cache().stats().entries, 2);
+
+    // A repeated replan is solved again, to the same bytes.
+    const std::string line = tinyRequestLine(
+        "replan", 2, 64,
+        "{\"straggler_stage\": 1, \"straggler_factor\": 2.0}");
+    const std::string first = service.handleLine(line);
+    ASSERT_EQ(first.rfind("{\"ok\":true", 0), 0u) << first;
+    EXPECT_EQ(service.handleLine(line), first);
+    EXPECT_EQ(service.cache().stats().entries, 2);
+}
+
 // ---------------------------------------------------------------------------
 // TCP server
 

@@ -278,7 +278,7 @@ contractModel(std::vector<ContractMode> &modes)
     StageCostOptions base;
     base.memCapacityOverride = lo + (hi - lo) / 2;
     base.memBudgetFraction = 0.95;
-    base.dp.maxBuckets = 256;
+    base.maxBuckets = 256;
     modes.push_back({"healthy", base});
     StageCostOptions o = base;
     o.stageTimeFactor = {1.0, 2.5, 1.0, 1.0};
