@@ -31,7 +31,7 @@ main()
                    "Peak in-flight (per stage)"});
 
     for (const Schedule &sched : {buildGPipe(p, n), build1F1B(p, n)}) {
-        const SimResult sim = simulate(sched, stages, {});
+        const SimResult sim = simulate(sched, stages);
         std::cout << renderTimeline(sched, sim, 90) << "\n";
 
         std::string alive;

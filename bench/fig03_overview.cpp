@@ -52,7 +52,7 @@ showStep(const char *label, const ProfiledModel &pm,
         build1F1B(static_cast<int>(plan.stages.size()),
                   plan.microBatches);
     std::cout << renderTimeline(
-                     sched, simulate(sched, planStageTimes(plan), {}), 90)
+                     sched, simulate(sched, planStageTimes(plan)), 90)
               << "\n";
 }
 

@@ -128,10 +128,8 @@ BM_SweepStrategies(benchmark::State &state)
 {
     // The full cluster-A strategy sweep for GPT-3; Arg is the worker
     // count (1 = the serial reference). This is the wall-time gate
-    // for observability overhead: with ADAPIPE_OBS off it must match
-    // the pre-instrumentation baseline, and with it on but no
-    // registry installed (as here) the cost is one thread-local load
-    // per counter site.
+    // for observability overhead: with no registry installed (as
+    // here) the cost is one thread-local load per counter site.
     StrategySearchOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
     const ModelConfig model = gpt3_175b();

@@ -139,7 +139,7 @@ main(int argc, char **argv)
         const Schedule sched =
             build1F1B(par.pipeline, result.plan.microBatches);
         const SimResult sim =
-            simulate(sched, planStageTimes(result.plan), {});
+            simulate(sched, planStageTimes(result.plan));
         const ParseStatus wrote =
             writeTextFile(trace_path, toChromeTrace(sched, sim) + "\n");
         if (!wrote.ok()) {

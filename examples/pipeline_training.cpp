@@ -413,7 +413,6 @@ main(int argc, char **argv)
             tinyLmModelConfig(cfg), train, par,
             clusterA((workers + 7) / 8));
         RecoveryOptions rec;
-        rec.replanOnFault = true;
         rec.maxRecoveries =
             static_cast<int>(cli.getInt("max-recoveries"));
         rec.pm = &recovery_pm;

@@ -7,8 +7,8 @@
  * For each severity in the sweep the tool simulates one 1F1B
  * iteration of (a) the original plan and (b) the replanned plan under
  * the same seeded fault scenario, and prints the sensitivity table.
- * An explicit --fault-spec JSON (stalls, jitter, hard failure) can be
- * layered on top of the straggler sweep.
+ * An explicit --fault-spec JSON (slowdowns, stalls, hard failure) can
+ * be layered on top of the straggler sweep.
  *
  * Usage:
  *   robustness_report --model gpt3 --seq 16384 --nodes 8 \
@@ -154,9 +154,7 @@ main(int argc, char **argv)
         const Schedule sched = build1F1B(
             static_cast<int>(times.size()),
             original.plan.microBatches);
-        SimOptions sim_opts;
-        sim_opts.faults = spec.value();
-        const SimResult sim = simulate(sched, times, sim_opts);
+        const SimResult sim = simulate(sched, times, spec.value());
         std::cout << "Fault spec " << spec_path << ": ";
         if (sim.completed) {
             std::cout << "iteration "

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         schedules.push_back(buildChimeraD(p, n));
 
     for (const Schedule &sched : schedules) {
-        const SimResult sim = simulate(sched, stages, {});
+        const SimResult sim = simulate(sched, stages);
         std::cout << renderTimeline(sched, sim, 100) << "\n";
 
         int peak = 0;

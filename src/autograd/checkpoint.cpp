@@ -91,19 +91,6 @@ interiorNodes(const ReplayState &st)
 }
 
 /**
- * Add @p delta to counter @p name on the calling thread's registry,
- * in every build: the runtime derives StageMetrics::replayOps,
- * replaySeconds and offloadFetchMisses from these counters, so unlike
- * ADAPIPE_OBS_COUNT they must not compile out with ADAPIPE_OBS=OFF.
- */
-void
-countAlways(const char *name, std::int64_t delta)
-{
-    if (obs::Registry *registry = obs::current())
-        registry->add(name, delta);
-}
-
-/**
  * Run the forward replay once. Emits the same "checkpoint.replays"
  * count whether the replay fires eagerly (warm) or lazily (backward),
  * so replay totals stay comparable across modes, plus a
@@ -116,15 +103,15 @@ ensureWarm(ReplayState &st)
     if (st.warmed)
         return;
     st.warmed = true;
-    countAlways("checkpoint.replays", 1);
+    ADAPIPE_OBS_COUNT("checkpoint.replays", 1);
     const double start_us = obs::nowUs();
     {
         ADAPIPE_OBS_SPAN(replay_span, "checkpoint.replay");
         st.warmIn = st.input.detach(true);
         st.warmOut = st.segment(st.warmIn);
     }
-    countAlways("checkpoint.replay_us",
-                static_cast<std::int64_t>(obs::nowUs() - start_us));
+    ADAPIPE_OBS_COUNT("checkpoint.replay_us",
+                      static_cast<std::int64_t>(obs::nowUs() - start_us));
     // The saved input stays alive through warmIn / the node's parent
     // list; drop this extra reference.
     st.input = Variable();
@@ -178,7 +165,7 @@ makeCheckpointNode(const std::shared_ptr<ReplayState> &state,
                     state->warmIn = Variable();
                     state->warmOut = Variable();
                     state->warmed = false;
-                    countAlways("offload.fetch_miss", 1);
+                    ADAPIPE_OBS_COUNT("offload.fetch_miss", 1);
                 }
             }
             ensureWarm(*state);

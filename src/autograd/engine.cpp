@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -17,10 +18,6 @@
 #include "obs/macros.h"
 #include "obs/registry.h"
 #include "util/logging.h"
-
-#if ADAPIPE_OBS_ENABLED
-#include <chrono>
-#endif
 
 namespace adapipe {
 
@@ -409,7 +406,6 @@ recordFailure(Job &job)
 void
 flushStats(int me, const WorkerStats &stats)
 {
-#if ADAPIPE_OBS_ENABLED
     if (!obs::current())
         return;
     ADAPIPE_OBS_COUNT("engine.tasks", stats.tasks);
@@ -419,10 +415,6 @@ flushStats(int me, const WorkerStats &stats)
     ADAPIPE_OBS_GAUGE("engine.thread." + std::to_string(me) +
                           ".busy_seconds",
                       stats.busySeconds);
-#else
-    (void)me;
-    (void)stats;
-#endif
 }
 
 void
@@ -434,20 +426,16 @@ workerLoop(Job &job, int me)
             break;
         Task task;
         if (popTask(job, me, task, stats)) {
-#if ADAPIPE_OBS_ENABLED
             const auto t0 = std::chrono::steady_clock::now();
-#endif
             try {
                 runTask(job, me, task, stats);
             } catch (...) {
                 recordFailure(job);
             }
-#if ADAPIPE_OBS_ENABLED
             stats.busySeconds +=
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-#endif
             if (job.remaining.fetch_sub(
                     1, std::memory_order_acq_rel) == 1) {
                 notifyAllWorkers(job);

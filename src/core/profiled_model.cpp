@@ -66,14 +66,12 @@ ProfiledModel::rangeParams(int first, int last) const
 
 ProfiledModel
 buildProfiledModel(const ModelConfig &model, const TrainConfig &train,
-                   const ParallelConfig &par, const ClusterSpec &cluster,
-                   OptimizerConfig opt)
+                   const ParallelConfig &par, const ClusterSpec &cluster)
 {
     ProfiledModel pm;
     pm.model = model;
     pm.train = train;
     pm.par = par;
-    pm.optimizer = opt;
     pm.rawLayers = buildLayerSequence(model, train, par);
 
     OperatorProfiler profiler(cluster, par);
@@ -87,7 +85,7 @@ buildProfiledModel(const ModelConfig &model, const TrainConfig &train,
         pm.layers.push_back(std::move(pl));
     }
 
-    MemoryModel mem(model, train, par, opt);
+    MemoryModel mem(model, train, par);
     pm.stageInputBytes = mem.stageInputBytes();
     pm.p2pTime = profiler.p2pTime(pm.stageInputBytes);
     pm.p2pBandwidth = cluster.numNodes > 1

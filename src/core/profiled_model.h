@@ -54,7 +54,6 @@ struct ProfiledModel
     ModelConfig model;
     TrainConfig train;
     ParallelConfig par;
-    OptimizerConfig optimizer;
     /** Raw per-rank workloads (for memory accounting). */
     std::vector<Layer> rawLayers;
     /** Hardware-resolved layer costs. */
@@ -83,8 +82,7 @@ struct ProfiledModel
 ProfiledModel buildProfiledModel(const ModelConfig &model,
                                  const TrainConfig &train,
                                  const ParallelConfig &par,
-                                 const ClusterSpec &cluster,
-                                 OptimizerConfig opt = OptimizerConfig{});
+                                 const ClusterSpec &cluster);
 
 /**
  * Extract the model's unit-cost table (for saving with

@@ -13,7 +13,7 @@ namespace adapipe {
 StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
                                          int n, StageCostOptions opts)
     : pm_(pm),
-      mem_model_(pm.model, pm.train, pm.par, pm.optimizer),
+      mem_model_(pm.model, pm.train, pm.par),
       p_(p), n_(n), opts_(opts)
 {
     ADAPIPE_ASSERT(p_ >= 1 && n_ >= 1, "invalid pipeline/microbatches");

@@ -113,19 +113,15 @@ sweepStrategies(const ModelConfig &model, const TrainConfig &train,
     // record metrics into private registries that merge into the
     // caller's registry after join — the hot path stays lock-free and
     // merged counters are identical for any worker count.
-#if ADAPIPE_OBS_ENABLED
     obs::Registry *parent = obs::current();
     std::vector<obs::Registry> worker_metrics(
         parent ? workers : 0u);
-#endif
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
         pool.emplace_back([&, w]() {
-#if ADAPIPE_OBS_ENABLED
             obs::ScopedRegistry scope(
                 parent ? &worker_metrics[w] : nullptr);
-#endif
             for (std::size_t i = w; i < strategies.size();
                  i += workers)
                 evaluate(i);
@@ -133,12 +129,10 @@ sweepStrategies(const ModelConfig &model, const TrainConfig &train,
     }
     for (auto &t : pool)
         t.join();
-#if ADAPIPE_OBS_ENABLED
     if (parent) {
         for (const obs::Registry &m : worker_metrics)
             parent->merge(m);
     }
-#endif
     tally();
     return results;
 }

@@ -8,8 +8,8 @@ namespace adapipe {
 
 MemoryModel::MemoryModel(const ModelConfig &model,
                          const TrainConfig &train,
-                         const ParallelConfig &par, OptimizerConfig opt)
-    : model_(model), train_(train), par_(par), opt_(opt)
+                         const ParallelConfig &par)
+    : model_(model), train_(train), par_(par)
 {
     model_.validate();
     ADAPIPE_ASSERT(par_.tensor >= 1 && par_.data >= 1 &&
@@ -20,30 +20,18 @@ MemoryModel::MemoryModel(const ModelConfig &model,
 StaticMemory
 MemoryModel::staticMemory(std::uint64_t stage_params) const
 {
+    // FP32 gradients; Adam's two FP32 moments plus the FP32 master
+    // parameters, which ZeRO-1 shards over the data-parallel group.
+    constexpr double kGradBytes = 4.0;
+    constexpr double kOptimizerBytes = 8.0 + 4.0;
     const double n = static_cast<double>(stage_params);
     const double t = par_.tensor;
     const double d = par_.data;
-    ADAPIPE_ASSERT(opt_.zeroStage >= 0 && opt_.zeroStage <= 3,
-                   "invalid ZeRO stage ", opt_.zeroStage);
-
-    // ZeRO-1 shards optimizer states, ZeRO-2 additionally gradients,
-    // ZeRO-3 additionally the parameters themselves.
-    const double param_shard = opt_.zeroStage >= 3 ? d : 1.0;
-    const double grad_shard = opt_.zeroStage >= 2 ? d : 1.0;
-    const double opt_shard = opt_.zeroStage >= 1 ? d : 1.0;
 
     StaticMemory mem;
-    mem.params = static_cast<Bytes>(model_.dtypeBytes * n /
-                                    (t * param_shard));
-    const double grad_bytes = opt_.fp32GradAccum ? 4.0
-                                                 : model_.dtypeBytes;
-    mem.grads =
-        static_cast<Bytes>(grad_bytes * n / (t * grad_shard));
-    double opt_bytes = opt_.stateBytesPerParam;
-    if (opt_.fp32MasterParams)
-        opt_bytes += 4.0;
-    mem.optimizer =
-        static_cast<Bytes>(opt_bytes * n / (t * opt_shard));
+    mem.params = static_cast<Bytes>(model_.dtypeBytes * n / t);
+    mem.grads = static_cast<Bytes>(kGradBytes * n / t);
+    mem.optimizer = static_cast<Bytes>(kOptimizerBytes * n / (t * d));
     return mem;
 }
 

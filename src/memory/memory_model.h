@@ -3,7 +3,8 @@
  * Per-stage memory accounting (Sec. 4.2's three-part model).
  *
  * Part 1 (static): parameters, gradients and ZeRO-1-sharded optimizer
- * states — depends only on the parallel strategy.
+ * states (the paper's FP32 Adam with FP32 master parameters and
+ * gradients) — depends only on the parallel strategy.
  * Part 2 (buffer): space to rematerialise one decoder layer's
  * intermediates during backward; reused across layers.
  * Part 3 (intermediates): saved activations, weighted by the number
@@ -24,38 +25,16 @@
 namespace adapipe {
 
 /**
- * Optimizer memory behaviour (paper: FP32 Adam with ZeRO stage 1,
- * plus the FP32 gradient-accumulation / master-parameter factors
- * frameworks add).
- */
-struct OptimizerConfig
-{
-    /** Bytes of optimizer state per parameter (Adam: 2 x fp32 = 8). */
-    double stateBytesPerParam = 8.0;
-    /** Keep an FP32 master copy of parameters (sharded with the
-     *  optimizer states). */
-    bool fp32MasterParams = true;
-    /** Accumulate gradients in FP32. */
-    bool fp32GradAccum = true;
-    /**
-     * ZeRO sharding stage over the data-parallel group:
-     * 0 = none, 1 = optimizer states (the paper's setting),
-     * 2 = + gradients, 3 = + parameters. Stages 2/3 are extensions
-     * beyond the paper, modelled for what-if studies.
-     */
-    int zeroStage = 1;
-};
-
-/**
  * Static (recomputation-independent) memory of one pipeline stage.
  */
 struct StaticMemory
 {
     /** Half-precision parameter bytes per rank. */
     Bytes params = 0;
-    /** Gradient bytes per rank (fp32 when accumulating in fp32). */
+    /** FP32 gradient bytes per rank. */
     Bytes grads = 0;
-    /** Optimizer-state bytes per rank (ZeRO-1: divided by t*d). */
+    /** Adam moments plus the FP32 master parameters, per rank
+     *  (ZeRO-1: divided by t*d). */
     Bytes optimizer = 0;
 
     /** @return sum of the three components. */
@@ -73,11 +52,9 @@ class MemoryModel
      * @param model architecture (for dtype and hidden size)
      * @param train micro-batch and sequence length
      * @param par parallel strategy (t, d and sequence parallelism)
-     * @param opt optimizer memory behaviour
      */
     MemoryModel(const ModelConfig &model, const TrainConfig &train,
-                const ParallelConfig &par,
-                OptimizerConfig opt = OptimizerConfig{});
+                const ParallelConfig &par);
 
     /**
      * Static memory of a stage holding @p stage_params unsharded
@@ -135,7 +112,6 @@ class MemoryModel
     const ModelConfig &model_;
     TrainConfig train_;
     ParallelConfig par_;
-    OptimizerConfig opt_;
 };
 
 } // namespace adapipe

@@ -1,13 +1,9 @@
 /**
  * @file
- * Compile-time gated instrumentation macros.
+ * Instrumentation macros.
  *
- * ADAPIPE_OBS is defined (0 or 1) by the build system; the default
- * build compiles instrumentation in, and -DADAPIPE_OBS=OFF at
- * configure time compiles every macro down to nothing so the search
- * hot paths carry zero observability cost. Even when compiled in,
- * a macro is one thread-local load and a branch unless a Registry
- * is installed on the calling thread.
+ * A macro is one thread-local load and a branch unless a Registry is
+ * installed on the calling thread.
  *
  * Counter conventions: names are dotted, "<subsystem>.<metric>",
  * e.g. "partition_dp.states_visited". Hot loops accumulate into a
@@ -17,14 +13,6 @@
 
 #ifndef ADAPIPE_OBS_MACROS_H
 #define ADAPIPE_OBS_MACROS_H
-
-#if defined(ADAPIPE_OBS) && ADAPIPE_OBS
-#define ADAPIPE_OBS_ENABLED 1
-#else
-#define ADAPIPE_OBS_ENABLED 0
-#endif
-
-#if ADAPIPE_OBS_ENABLED
 
 #include "obs/registry.h"
 
@@ -49,27 +37,5 @@
 
 /** Open a scoped span named @p name for the rest of the block. */
 #define ADAPIPE_OBS_SPAN(var, name) ::adapipe::obs::ScopedSpan var(name)
-
-#else // !ADAPIPE_OBS_ENABLED
-
-// Arguments are discarded unevaluated-in-effect but still named so
-// locals that only feed instrumentation do not warn as unused. Call
-// sites must not pass side-effecting expressions.
-#define ADAPIPE_OBS_COUNT(name, delta)                                  \
-    do {                                                                \
-        (void)(name);                                                   \
-        (void)(delta);                                                  \
-    } while (false)
-#define ADAPIPE_OBS_GAUGE(name, value)                                  \
-    do {                                                                \
-        (void)(name);                                                   \
-        (void)(value);                                                  \
-    } while (false)
-#define ADAPIPE_OBS_SPAN(var, name)                                     \
-    do {                                                                \
-        (void)(name);                                                   \
-    } while (false)
-
-#endif // ADAPIPE_OBS_ENABLED
 
 #endif // ADAPIPE_OBS_MACROS_H

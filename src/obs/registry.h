@@ -14,8 +14,7 @@
  *     regardless of the worker count.
  *  2. Near-zero cost when idle. Instrumentation routes through a
  *     thread-local `current()` pointer; with no registry installed
- *     every macro is one load and a branch. Building with
- *     -DADAPIPE_OBS=OFF compiles the macros out entirely.
+ *     every macro is one load and a branch.
  *  3. No clocks in data structures. Span timestamps are microseconds
  *     since a process-wide epoch, so spans recorded on different
  *     threads land on one comparable timeline for Chrome traces.

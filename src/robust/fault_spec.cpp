@@ -17,29 +17,20 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Counter-based uniform draw in [0, 1) from (seed, id, stream). */
+constexpr std::uint64_t kStreamStall = 0x5354414C4Cull; // "STALL"
+
+} // namespace
+
 double
-hashUniform(std::uint64_t seed, std::uint64_t id, std::uint64_t stream)
+faultUniform(std::uint64_t seed, std::uint64_t id, std::uint64_t stream)
 {
     const std::uint64_t h = mix64(mix64(seed ^ mix64(stream)) ^ id);
     // 53 high bits -> double in [0, 1).
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-constexpr std::uint64_t kStreamStall = 0x5354414C4Cull;  // "STALL"
-constexpr std::uint64_t kStreamJitter = 0x4A4954544552ull; // "JITTER"
-
-} // namespace
-
-bool
-FaultSpec::empty() const
-{
-    return slowdowns.empty() && stalls.probability <= 0 &&
-           p2pJitter <= 0 && failure.device < 0;
-}
-
 double
-FaultSpec::slowdownFactor(int device) const
+slowdownFactor(const std::vector<DeviceSlowdown> &slowdowns, int device)
 {
     double factor = 1.0;
     for (const DeviceSlowdown &s : slowdowns) {
@@ -50,14 +41,15 @@ FaultSpec::slowdownFactor(int device) const
 }
 
 Seconds
-FaultSpec::stallDelay(std::uint64_t opId) const
+stallDelay(const TransientStalls &stalls, std::uint64_t seed,
+           std::uint64_t opId)
 {
     if (stalls.probability <= 0 || stalls.base <= 0)
         return 0;
     Seconds delay = 0;
     Seconds backoff = stalls.base;
     for (int attempt = 0; attempt < stalls.maxRetries; ++attempt) {
-        const double u = hashUniform(
+        const double u = faultUniform(
             seed, opId, kStreamStall + static_cast<std::uint64_t>(attempt));
         if (u >= stalls.probability)
             break;
@@ -65,14 +57,6 @@ FaultSpec::stallDelay(std::uint64_t opId) const
         backoff *= 2;
     }
     return delay;
-}
-
-double
-FaultSpec::jitterFactor(std::uint64_t edgeId) const
-{
-    if (p2pJitter <= 0)
-        return 1.0;
-    return 1.0 + p2pJitter * hashUniform(seed, edgeId, kStreamJitter);
 }
 
 std::uint64_t
@@ -83,12 +67,6 @@ faultOpId(int chain, int pos, int micro_batch, bool forward)
     id = (id << 24) | static_cast<std::uint64_t>(micro_batch & 0xFFFFFF);
     id = (id << 1) | (forward ? 1u : 0u);
     return mix64(id);
-}
-
-std::uint64_t
-faultEdgeId(std::uint64_t from, std::uint64_t to)
-{
-    return mix64(from ^ mix64(to));
 }
 
 JsonValue
@@ -110,7 +88,6 @@ faultSpecToJson(const FaultSpec &spec)
     stalls.set("base", JsonValue::number(spec.stalls.base));
     stalls.set("max_retries", JsonValue::integer(spec.stalls.maxRetries));
     root.set("stalls", std::move(stalls));
-    root.set("p2p_jitter", JsonValue::number(spec.p2pJitter));
     JsonValue failure = JsonValue::object();
     failure.set("device", JsonValue::integer(spec.failure.device));
     failure.set("at", JsonValue::number(spec.failure.at));
@@ -160,11 +137,6 @@ faultSpecFromJson(const JsonValue &json)
                     stalls.key("max_retries").fail(
                         "must be non-negative");
             }
-        }
-        if (root.has("p2p_jitter")) {
-            spec.p2pJitter = root.key("p2p_jitter").asNumber();
-            if (spec.p2pJitter < 0)
-                root.key("p2p_jitter").fail("must be non-negative");
         }
         if (root.has("failure")) {
             const JsonReader failure = root.key("failure");

@@ -4,14 +4,15 @@
  *
  * A FaultSpec describes a reproducible fault scenario: per-device
  * slowdown factors (stragglers), transient op stalls with
- * retry/backoff delay modelling, jittered point-to-point transfer
- * times and an optional hard device failure at a given time.
+ * retry/backoff delay modelling and an optional hard device failure
+ * at a given time.
  *
  * All randomness is *counter-based*: every draw hashes the spec's
  * seed together with a stable op identity (SplitMix64-style
  * finalizers), so a fixed seed produces bit-for-bit identical fault
  * realisations regardless of evaluation order, simulator mode or
- * thread count.
+ * thread count. The runtime's injector (runtime/fault_injector.h)
+ * draws through the same free functions below.
  */
 
 #ifndef ADAPIPE_ROBUST_FAULT_SPEC_H
@@ -62,42 +63,37 @@ struct DeviceFailure
 };
 
 /**
+ * Counter-based uniform draw in [0, 1) from (@p seed, @p id,
+ * @p stream): the same arguments give the same double everywhere.
+ */
+double faultUniform(std::uint64_t seed, std::uint64_t id,
+                    std::uint64_t stream);
+
+/** @return product of the @p slowdowns factors listed for @p device
+ *  (1.0 when healthy). */
+double slowdownFactor(const std::vector<DeviceSlowdown> &slowdowns,
+                      int device);
+
+/**
+ * Total retry/backoff delay @p stalls charge to the op identified by
+ * @p opId. Deterministic in (seed, opId).
+ */
+Seconds stallDelay(const TransientStalls &stalls, std::uint64_t seed,
+                   std::uint64_t opId);
+
+/**
  * A complete, seeded fault scenario.
  */
 struct FaultSpec
 {
-    /** Seed of all per-op draws (stalls and jitter). */
+    /** Seed of all per-op draws (stalls). */
     std::uint64_t seed = 0;
     /** Straggling devices. */
     std::vector<DeviceSlowdown> slowdowns;
     /** Transient stall model. */
     TransientStalls stalls;
-    /**
-     * Relative p2p jitter: each cross-device transfer time is
-     * multiplied by a factor drawn uniformly from
-     * [1, 1 + p2pJitter].
-     */
-    double p2pJitter = 0.0;
     /** Optional hard device failure. */
     DeviceFailure failure;
-
-    /** @return true when the spec injects no fault at all. */
-    bool empty() const;
-
-    /** @return slowdown factor of @p device (1.0 when healthy). */
-    double slowdownFactor(int device) const;
-
-    /**
-     * Total retry/backoff delay charged to the op identified by
-     * @p opId. Deterministic in (seed, opId).
-     */
-    Seconds stallDelay(std::uint64_t opId) const;
-
-    /**
-     * Jitter multiplier in [1, 1 + p2pJitter] for the transfer
-     * identified by @p edgeId. Deterministic in (seed, edgeId).
-     */
-    double jitterFactor(std::uint64_t edgeId) const;
 };
 
 /**
@@ -107,9 +103,6 @@ struct FaultSpec
  */
 std::uint64_t faultOpId(int chain, int pos, int micro_batch,
                         bool forward);
-
-/** Stable identity for the transfer feeding @p to from @p from. */
-std::uint64_t faultEdgeId(std::uint64_t from, std::uint64_t to);
 
 /** Serialize a fault spec to JSON. */
 JsonValue faultSpecToJson(const FaultSpec &spec);

@@ -121,11 +121,7 @@ simulateUnderFault(const std::vector<StageTimes> &healthy_times,
 {
     const int p = static_cast<int>(healthy_times.size());
     const Schedule sched = build1F1B(p, micro_batches);
-    SimOptions opts;
-    // Plan stage times already include the boundary transfer.
-    opts.p2pTime = 0;
-    opts.faults = faults;
-    return simulate(sched, healthy_times, opts).iterationTime;
+    return simulate(sched, healthy_times, faults).iterationTime;
 }
 
 RobustnessReport

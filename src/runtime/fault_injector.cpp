@@ -18,6 +18,9 @@ namespace {
  *  shutdown never waits on a long (or infinite) injected sleep. */
 constexpr double kSleepQuantumUs = 1000.0;
 
+/** faultUniform stream of the send-delay jitter draws. */
+constexpr std::uint64_t kStreamSendJitter = 0x4A4954544552ull; // "JITTER"
+
 } // namespace
 
 bool
@@ -66,9 +69,6 @@ FaultInjector::FaultInjector(const RuntimeFaultSpec &spec,
                              int num_workers)
     : spec_(spec), perWorker_(static_cast<std::size_t>(num_workers))
 {
-    draws_.seed = spec.seed;
-    draws_.stalls = spec.stalls;
-    draws_.p2pJitter = spec.sendDelayJitter;
 }
 
 void
@@ -126,8 +126,9 @@ FaultInjector::beforeOp(int worker, int pos, int step,
             " after " + std::to_string(ops_this_step) + " ops");
     }
 
-    const Seconds stall = draws_.stallDelay(
-        faultOpId(step, pos, micro_batch, forward));
+    const Seconds stall =
+        stallDelay(spec_.stalls, spec_.seed,
+                   faultOpId(step, pos, micro_batch, forward));
     if (stall > 0) {
         FaultEvent event;
         event.kind = FaultEventKind::Stall;
@@ -147,11 +148,7 @@ void
 FaultInjector::afterOp(int worker, int pos, int step, int micro_batch,
                        bool forward, double op_us)
 {
-    double factor = 1.0;
-    for (const DeviceSlowdown &s : spec_.slowdowns) {
-        if (s.device == worker)
-            factor *= s.factor;
-    }
+    const double factor = slowdownFactor(spec_.slowdowns, worker);
     if (factor <= 1.0)
         return;
     FaultEvent event;
@@ -180,9 +177,14 @@ FaultInjector::beforeSend(int worker, int pos, int step,
     event.step = step;
     event.microBatch = micro_batch;
     event.forward = forward;
+    // The jitter factor is drawn uniformly from
+    // [1, 1 + sendDelayJitter].
     event.us = spec_.sendDelayUs *
-               draws_.jitterFactor(
-                   faultOpId(step, pos, micro_batch, forward));
+               (1.0 + spec_.sendDelayJitter *
+                          faultUniform(spec_.seed,
+                                       faultOpId(step, pos, micro_batch,
+                                                 forward),
+                                       kStreamSendJitter));
     record(event);
     ADAPIPE_OBS_COUNT("fault.injected_send_delays", 1);
     sleepUs(event.us);

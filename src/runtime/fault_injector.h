@@ -178,9 +178,6 @@ class FaultInjector
     [[noreturn]] void hangUntilCancelled();
 
     RuntimeFaultSpec spec_;
-    /** Draw helper reusing the simulator's counter-based hashing:
-     *  stallDelay() for stalls, jitterFactor() for send delay. */
-    FaultSpec draws_;
     std::atomic<bool> cancelled_{false};
     /** Per-worker logs; only the owning worker thread appends. */
     std::vector<std::vector<FaultEvent>> perWorker_;

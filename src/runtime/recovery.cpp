@@ -89,7 +89,7 @@ runPipelineWithRecovery(TinyLM &model,
         // A failure with no attributable worker is a configuration
         // error, not a fault — recovery cannot help.
         if (run.failureKind == RuntimeFailureKind::None ||
-            !rec.replanOnFault || round >= rec.maxRecoveries) {
+            round >= rec.maxRecoveries) {
             return finish(false, run.error, std::move(run));
         }
 
@@ -141,7 +141,7 @@ runPipelineWithRecovery(TinyLM &model,
         if (rec.pm == nullptr) {
             out.attempts.push_back(std::move(attempt));
             return finish(false,
-                          "recovery: replanOnFault requires a "
+                          "recovery: replanning requires a "
                           "profiled model (RecoveryOptions::pm)",
                           std::move(run));
         }

@@ -39,17 +39,11 @@ namespace adapipe {
  *  configuration. */
 struct RecoveryOptions
 {
-    /**
-     * Replan to fewer stages and resume after a detected fault.
-     * When false, runPipelineWithRecovery degrades to a single
-     * runPipeline call (the result is still wrapped).
-     */
-    bool replanOnFault = false;
     /** Maximum replan-and-resume rounds before giving up. */
     int maxRecoveries = 1;
     /**
-     * Healthy profiled model to replan against (required when
-     * replanOnFault). Its par.pipeline is overridden with the
+     * Healthy profiled model to replan against (required for a
+     * recovery round). Its par.pipeline is overridden with the
      * current surviving stage count on every recovery round.
      */
     const ProfiledModel *pm = nullptr;

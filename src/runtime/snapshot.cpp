@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "util/canonical_json.h"
 #include "util/file_io.h"
 #include "util/json.h"
 #include "util/json_reader.h"
@@ -21,20 +22,6 @@ constexpr int kVersion = 1;
  *  header. */
 constexpr std::int64_t kMaxBlobFloats =
     std::int64_t{1} << 40; // 4 TiB of floats
-
-std::string
-fnv1a64Hex(const char *bytes, std::size_t len)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(bytes[i]);
-        h *= 1099511628211ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return std::string(buf);
-}
 
 JsonValue
 shapesToJson(const std::vector<Tensor> &tensors)
@@ -184,9 +171,7 @@ snapshotToBytes(const TrainingSnapshot &snap)
     header.set("blob_floats",
                JsonValue::integer(static_cast<std::int64_t>(
                    blob.size() / sizeof(float))));
-    header.set("blob_checksum",
-               JsonValue::string(
-                   fnv1a64Hex(blob.data(), blob.size())));
+    header.set("blob_checksum", JsonValue::string(hex16(fnv1a64(blob))));
     const std::string header_text = header.dump(0);
 
     std::string bytes;
@@ -322,8 +307,8 @@ snapshotFromBytes(const std::string &bytes)
             std::to_string(blob_bytes) + " bytes, file carries " +
             std::to_string(bytes.size() - pos) + ")");
     }
-    const std::string checksum =
-        fnv1a64Hex(bytes.data() + pos, blob_bytes);
+    const std::string checksum = hex16(
+        fnv1a64(std::string_view(bytes.data() + pos, blob_bytes)));
     if (checksum != declared_checksum) {
         return Result::failure(
             "snapshot: blob checksum mismatch (header " +

@@ -22,6 +22,28 @@ nowMicros()
         .count();
 }
 
+/** What a request plans on: its profiled model and the stage-cost
+ *  options it plans with, sharing the service's knapsack memo. */
+struct PlanInputs
+{
+    ProfiledModel pm;
+    StageCostOptions opts;
+};
+
+PlanInputs
+planInputs(const PlanRequest &request, KnapsackMemo &memo)
+{
+    PlanInputs in;
+    in.pm = buildProfiledModel(request.modelConfig(), request.train,
+                               request.par, request.clusterSpec());
+    in.opts.memBudgetFraction = request.memBudgetFraction;
+    in.opts.knapsackMemo = &memo;
+    in.opts.offload.enabled = request.offload;
+    in.opts.offload.bandwidth = request.offloadBandwidth;
+    in.opts.offload.overlapFraction = request.offloadOverlapFraction;
+    return in;
+}
+
 /** Quantile summary of a latency sample as a JSON object. */
 JsonValue
 latencyJson(const std::vector<double> &sample)
@@ -164,23 +186,14 @@ PlanResult
 PlanService::solve(const PlanRequest &request)
 {
     ADAPIPE_OBS_SPAN(obs_span, "service.solve");
-    const ModelConfig model = request.modelConfig();
-    const ClusterSpec cluster = request.clusterSpec();
-    const ProfiledModel pm = buildProfiledModel(
-        model, request.train, request.par, cluster);
-    StageCostOptions opts;
-    opts.memBudgetFraction = request.memBudgetFraction;
-    opts.knapsackMemo = &memo_;
-    opts.offload.enabled = request.offload;
-    opts.offload.bandwidth = request.offloadBandwidth;
-    opts.offload.overlapFraction = request.offloadOverlapFraction;
+    const PlanInputs in = planInputs(request, memo_);
     if (request.scheduleFamily == "interleaved") {
-        return makeInterleavedPlan(pm, request.method,
-                                   request.virtualStages, opts);
+        return makeInterleavedPlan(in.pm, request.method,
+                                   request.virtualStages, in.opts);
     }
     if (request.scheduleFamily == "best")
-        return makeBestSchedulePlan(pm, request.method, opts);
-    return makePlan(pm, request.method, opts);
+        return makeBestSchedulePlan(in.pm, request.method, in.opts);
+    return makePlan(in.pm, request.method, in.opts);
 }
 
 PlanResult
@@ -276,18 +289,9 @@ PlanService::handleReplan(const PlanRequest &request,
                                  base.oomReason);
     }
 
-    const ModelConfig model = request.modelConfig();
-    const ClusterSpec cluster = request.clusterSpec();
-    const ProfiledModel pm = buildProfiledModel(
-        model, request.train, request.par, cluster);
-    StageCostOptions opts;
-    opts.memBudgetFraction = request.memBudgetFraction;
-    opts.knapsackMemo = &memo_;
-    opts.offload.enabled = request.offload;
-    opts.offload.bandwidth = request.offloadBandwidth;
-    opts.offload.overlapFraction = request.offloadOverlapFraction;
+    const PlanInputs in = planInputs(request, memo_);
     const ReplanResult replanned =
-        replanDegradedIncremental(pm, fault, base.plan, opts);
+        replanDegradedIncremental(in.pm, fault, base.plan, in.opts);
     if (!replanned.ok) {
         ADAPIPE_OBS_COUNT("service.infeasible", 1);
         return errorResponse("replan",

@@ -218,6 +218,10 @@ PlanServer::stop()
             for (int fd : active_fds_)
                 ::shutdown(fd, SHUT_RDWR);
         }
+        // A worker reads stopping_ under queue_mutex_ and then blocks;
+        // taking that lock here orders the store before its check or
+        // after its block, so the notify below cannot be lost.
+        { std::lock_guard<std::mutex> lock(queue_mutex_); }
         queue_cv_.notify_all();
     }
     std::lock_guard<std::mutex> join(join_mutex_);

@@ -61,7 +61,7 @@ simulatePlan(const ProfiledModel &pm, const PipelinePlan &plan)
     // the simulator runs with zero transfer cost to avoid double
     // counting.
     const SimResult sim = simulate(build1F1B(p, plan.microBatches),
-                                   planStageTimes(plan), {});
+                                   planStageTimes(plan));
 
     EndToEndResult result;
     result.feasible = true;
@@ -86,7 +86,7 @@ evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
         return infeasible(even.error());
     const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
-    MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
+    MemoryModel mem_model(pm.model, pm.train, pm.par);
 
     // Per-stage times and per-micro-batch activation bytes.
     std::vector<StageTimes> times(p);
@@ -122,7 +122,7 @@ evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
 
     // P2P is already charged inside the stage times, as in
     // simulatePlan().
-    const SimResult sim = simulate(schedule, times, {});
+    const SimResult sim = simulate(schedule, times);
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;
@@ -178,7 +178,7 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
         return infeasible(even.error());
     const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
-    MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
+    MemoryModel mem_model(pm.model, pm.train, pm.par);
 
     // Per-stage activation demand and per-device budget.
     std::vector<StageTimes> times(p);
@@ -255,7 +255,7 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
                         std::max<std::int64_t>(0, used_act[s]));
     }
 
-    const SimResult sim = simulate(build1F1B(p, n), times, {});
+    const SimResult sim = simulate(build1F1B(p, n), times);
     result.iterationTime = sim.iterationTime;
     result.peakAlive = sim.peakAlive;
     result.bubbleTime = sim.totalBubbleTime();
@@ -286,7 +286,7 @@ evaluateInterleaved(const ProfiledModel &pm, int v,
         return infeasible(even.error());
     const auto &ranges = even.value();
     StageCostCalculator calc(pm, p, n, opts);
-    MemoryModel mem_model(pm.model, pm.train, pm.par, pm.optimizer);
+    MemoryModel mem_model(pm.model, pm.train, pm.par);
 
     std::vector<StageTimes> times(chunks);
     std::vector<Bytes> act_per_mb(chunks);
@@ -304,7 +304,7 @@ evaluateInterleaved(const ProfiledModel &pm, int v,
         buffer[g] = c.recomputeBuffer;
     }
 
-    const SimResult sim = simulate(built.value(), times, {});
+    const SimResult sim = simulate(built.value(), times);
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;

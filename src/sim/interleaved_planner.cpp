@@ -126,7 +126,7 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
     // warmup/ending have no closed form for the interleaved schedule
     // and are folded into total.
     const std::vector<StageTimes> times = planStageTimes(plan);
-    const SimResult sim = simulate(schedule, times, {});
+    const SimResult sim = simulate(schedule, times);
     plan.timing.warmup = 0;
     plan.timing.ending = 0;
     plan.timing.total = sim.iterationTime;
@@ -169,7 +169,7 @@ makeOverlapPlan(const ProfiledModel &pm, PlanMethod method, int v,
     const Schedule schedule = std::move(built).value();
 
     const SimResult sim =
-        simulate(schedule, planStageTimes(lazy.plan), {});
+        simulate(schedule, planStageTimes(lazy.plan));
 
     // Each device's idle time, spread over its v chunks and the n
     // micro-batches each chunk replays, is the per-micro-batch budget

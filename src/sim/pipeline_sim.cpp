@@ -109,34 +109,22 @@ faultedDuration(const PipeOp &op,
                 const FaultSpec &faults, Seconds &stall_out)
 {
     Seconds duration =
-        opDuration(op, stage_times) * faults.slowdownFactor(op.device);
-    stall_out = faults.stallDelay(opFaultId(op));
+        opDuration(op, stage_times) *
+        slowdownFactor(faults.slowdowns, op.device);
+    stall_out = stallDelay(faults.stalls, faults.seed, opFaultId(op));
     return duration + stall_out;
 }
 
-/** Earliest start honouring dependencies and communication. */
+/** Earliest start: the end of the latest dependency. */
 Seconds
-readyTime(const Schedule &sched,
-          const std::vector<std::vector<std::size_t>> &deps,
-          const std::vector<OpRecord> &records, std::size_t i,
-          const SimOptions &opts)
+readyTime(const std::vector<std::vector<std::size_t>> &deps,
+          const std::vector<OpRecord> &records, std::size_t i)
 {
     Seconds ready = 0;
-    const PipeOp &op = sched.ops[i];
     for (std::size_t dep : deps[i]) {
         if (!records[dep].done())
             return kInf;
-        Seconds t = records[dep].end;
-        if (sched.ops[dep].device != op.device) {
-            Seconds p2p = opts.p2pTime;
-            if (opts.faults.p2pJitter > 0) {
-                p2p *= opts.faults.jitterFactor(
-                    faultEdgeId(opFaultId(sched.ops[dep]),
-                                opFaultId(op)));
-            }
-            t += p2p;
-        }
-        ready = std::max(ready, t);
+        ready = std::max(ready, records[dep].end);
     }
     return ready;
 }
@@ -217,7 +205,7 @@ SimResult::totalBubbleTime() const
 
 SimResult
 simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
-         const SimOptions &opts)
+         const FaultSpec &faults)
 {
     ADAPIPE_ASSERT(static_cast<int>(stage_times.size()) >=
                        sched.chainLength,
@@ -243,7 +231,7 @@ simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
 
     std::vector<Seconds> device_free(sched.numDevices, 0.0);
 
-    const DeviceFailure &failure = opts.faults.failure;
+    const DeviceFailure &failure = faults.failure;
     auto failure_blocks = [&](const PipeOp &op, Seconds start) {
         return op.device == failure.device && start >= failure.at;
     };
@@ -260,8 +248,7 @@ simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
                     const std::size_t i =
                         sched.deviceOrder[dev][cursor[dev]];
                     const Seconds ready =
-                        readyTime(sched, deps, result.records, i,
-                                  opts);
+                        readyTime(deps, result.records, i);
                     if (ready == kInf)
                         break;
                     const Seconds start =
@@ -275,8 +262,8 @@ simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
                     result.records[i].start = start;
                     result.records[i].end =
                         start + faultedDuration(sched.ops[i],
-                                                stage_times,
-                                                opts.faults, stall);
+                                                stage_times, faults,
+                                                stall);
                     result.stallTime += stall;
                     device_free[dev] = result.records[i].end;
                     ++cursor[dev];
@@ -356,7 +343,7 @@ simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
                     !forward_allowed(sched.ops[i]))
                     continue;
                 const Seconds ready =
-                    readyTime(sched, deps, result.records, i, opts);
+                    readyTime(deps, result.records, i);
                 if (ready == kInf)
                     continue;
                 const PipeOp &op = sched.ops[i];
@@ -386,8 +373,8 @@ simulate(const Schedule &sched, const std::vector<StageTimes> &stage_times,
             Seconds stall = 0;
             result.records[best].start = best_start;
             result.records[best].end =
-                best_start + faultedDuration(op, stage_times,
-                                             opts.faults, stall);
+                best_start + faultedDuration(op, stage_times, faults,
+                                             stall);
             result.stallTime += stall;
             device_free[op.device] = result.records[best].end;
             scheduled[best] = true;

@@ -3,10 +3,11 @@
  * Event-driven execution of pipeline schedules.
  *
  * The simulator plays a Schedule against per-stage forward/backward
- * durations and a point-to-point transfer cost, honouring data
- * dependencies (a forward needs the previous position's forward of
- * the same micro-batch, a backward needs the next position's
- * backward and its own forward) and device exclusivity. Static
+ * durations, honouring data dependencies (a forward needs the
+ * previous position's forward of the same micro-batch, a backward
+ * needs the next position's backward and its own forward) and device
+ * exclusivity. The durations already carry each stage-boundary
+ * transfer, so an op is ready when its latest dependency ends. Static
  * schedules execute their per-device order verbatim; bidirectional
  * schedules are ordered greedily (earliest-start, then scheduling
  * unit, backward first).
@@ -29,20 +30,6 @@
 #include "util/units.h"
 
 namespace adapipe {
-
-/** Simulator options. */
-struct SimOptions
-{
-    /** Transfer time between adjacent positions of a chain. */
-    Seconds p2pTime = 0;
-    /**
-     * Fault scenario to inject (slowdowns, stalls, p2p jitter, hard
-     * failure). Default-constructed spec injects nothing. All draws
-     * are counter-based on FaultSpec::seed, so a fixed seed yields a
-     * bit-for-bit identical simulation on every run.
-     */
-    FaultSpec faults;
-};
 
 /** Scheduled execution of one op. */
 struct OpRecord
@@ -98,11 +85,14 @@ struct SimResult
  * @param stage_times F/B durations indexed by chain position (all
  *        chains share the same per-position times; bidirectional
  *        schedules use the baseline even partition where this holds)
- * @param opts simulator options
+ * @param faults fault scenario to inject (slowdowns, stalls, hard
+ *        failure); the default spec injects nothing. All draws are
+ *        counter-based on FaultSpec::seed, so a fixed seed yields a
+ *        bit-for-bit identical simulation on every run.
  */
 SimResult simulate(const Schedule &sched,
                    const std::vector<StageTimes> &stage_times,
-                   const SimOptions &opts = {});
+                   const FaultSpec &faults = {});
 
 } // namespace adapipe
 

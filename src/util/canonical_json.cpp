@@ -42,7 +42,7 @@ canonicalJsonString(const JsonValue &value)
 }
 
 std::uint64_t
-fnv1a64(const std::string &text)
+fnv1a64(std::string_view text)
 {
     std::uint64_t h = 14695981039346656037ULL; // FNV offset basis
     for (char c : text) {

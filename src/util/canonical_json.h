@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -37,7 +38,7 @@ JsonValue canonicalJson(const JsonValue &value);
 std::string canonicalJsonString(const JsonValue &value);
 
 /** @return FNV-1a-64 hash of @p text. */
-std::uint64_t fnv1a64(const std::string &text);
+std::uint64_t fnv1a64(std::string_view text);
 
 /** @return @p hash as 16 lowercase hex digits. */
 std::string hex16(std::uint64_t hash);

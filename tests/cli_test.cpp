@@ -265,6 +265,9 @@ usageBinaries()
     bins.emplace_back(ADAPIPE_SCHEDULE_EXPLORER_BIN,
                       "one two three four five");
 #endif
+#ifdef ADAPIPE_ROBUSTNESS_REPORT_BIN
+    bins.emplace_back(ADAPIPE_ROBUSTNESS_REPORT_BIN, "--bogus 1");
+#endif
     return bins;
 }
 
@@ -402,7 +405,6 @@ TEST(CliProcess, PipelineTrainingRecoversFromAHungWorker)
     std::remove(snap.c_str());
 }
 
-#if ADAPIPE_OBS_ENABLED
 TEST(CliProcess, PipelineTrainingMetricsHoldTheRecoveryReplan)
 {
     // The recovery replan runs on the main thread, so its robust.*
@@ -433,7 +435,6 @@ TEST(CliProcess, PipelineTrainingMetricsHoldTheRecoveryReplan)
     std::remove(snap.c_str());
     std::remove(out.c_str());
 }
-#endif
 
 TEST(CliProcess, PipelineTrainingResumesFromASnapshot)
 {
@@ -545,6 +546,58 @@ TEST(CliProcess, PipelineTrainingLabelsHostStagedBlocks)
 }
 
 #endif // ADAPIPE_PIPELINE_TRAINING_BIN
+
+#ifdef ADAPIPE_ROBUSTNESS_REPORT_BIN
+
+/** A small GPT-3 13B report under one 1.5x straggler severity, with
+ *  the fault spec at @p spec simulated verbatim first. */
+RunResult
+runReportWithFaultSpec(const std::string &spec)
+{
+    return runCommand(std::string(ADAPIPE_ROBUSTNESS_REPORT_BIN) +
+                      " --model gpt3-13b --nodes 2 --tensor 4"
+                      " --pipeline 4 --data 1 --seq 4096"
+                      " --global-batch 32 --straggler 1"
+                      " --severities 1.5 --fault-spec " +
+                      spec);
+}
+
+TEST(CliProcess, RobustnessReportSimulatesAStallSpec)
+{
+    // An old spec's p2p_jitter key is ignored like any key the loader
+    // does not read.
+    const std::string spec = writeTempFile(
+        "cli_test_stall_spec.json",
+        R"({"seed": 3, "p2p_jitter": 0.2,
+            "stalls": {"probability": 0.3, "base": 0.01,
+                       "max_retries": 3}})");
+    const RunResult r = runReportWithFaultSpec(spec);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("Fault spec " + spec + ": iteration "),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find(" (stall time "), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find(" (stall time 0.00 ns)"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("Robustness report: GPT-3 13B"),
+              std::string::npos)
+        << r.output;
+}
+
+TEST(CliProcess, RobustnessReportNamesTheFailedDevice)
+{
+    const std::string spec = writeTempFile(
+        "cli_test_failure_spec.json",
+        R"({"seed": 1, "failure": {"device": 2, "at": 1.0}})");
+    const RunResult r = runReportWithFaultSpec(spec);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("did not complete — device 2 failed"),
+              std::string::npos)
+        << r.output;
+}
+
+#endif // ADAPIPE_ROBUSTNESS_REPORT_BIN
 
 #endif // ADAPIPE_QUICKSTART_BIN && ADAPIPE_EXPORT_PLAN_BIN
 

@@ -176,9 +176,7 @@ TEST(EngineDeterminism, CheckpointReplayUnderParallelBackward)
         // Replay work is identical — the engine merges its helpers'
         // scratch registries after quiescence, so no count is lost.
         EXPECT_EQ(par_replays, ref_replays);
-#if ADAPIPE_OBS_ENABLED
-        // One span per replay; spans compile out with ADAPIPE_OBS=OFF,
-        // the replay counter does not.
+        // One span per replay.
         std::size_t ref_spans = 0, par_spans = 0;
         for (const obs::SpanRecord &s : ref_reg.spans())
             ref_spans += s.name == "checkpoint.replay" ? 1 : 0;
@@ -186,7 +184,6 @@ TEST(EngineDeterminism, CheckpointReplayUnderParallelBackward)
             par_spans += s.name == "checkpoint.replay" ? 1 : 0;
         EXPECT_EQ(static_cast<std::int64_t>(ref_spans), ref_replays);
         EXPECT_EQ(static_cast<std::int64_t>(par_spans), par_replays);
-#endif
 
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t p = 0; p < want.size(); ++p) {

@@ -45,19 +45,6 @@ TEST_F(MemoryModelTest, StaticMemoryComponents)
     EXPECT_EQ(mem.total(), mem.params + mem.grads + mem.optimizer);
 }
 
-TEST_F(MemoryModelTest, OptimizerConfigChangesFootprint)
-{
-    OptimizerConfig lean;
-    lean.fp32MasterParams = false;
-    lean.fp32GradAccum = false;
-    MemoryModel mm_lean(model, train, par, lean);
-    MemoryModel mm_fat(model, train, par);
-    const std::uint64_t n = 1'000'000;
-    EXPECT_LT(mm_lean.staticMemory(n).total(),
-              mm_fat.staticMemory(n).total());
-    EXPECT_EQ(mm_lean.staticMemory(n).grads, n * 2 / 2);
-}
-
 TEST_F(MemoryModelTest, ZeroOneShardsOptimizerByData)
 {
     MemoryModel mm(model, train, par);
@@ -69,38 +56,6 @@ TEST_F(MemoryModelTest, ZeroOneShardsOptimizerByData)
               2 * mm4.staticMemory(n).optimizer);
     // Params and grads are NOT sharded by d.
     EXPECT_EQ(mm.staticMemory(n).params, mm4.staticMemory(n).params);
-}
-
-TEST_F(MemoryModelTest, ZeroStagesShardProgressively)
-{
-    const std::uint64_t n = 1'000'000;
-    std::vector<StaticMemory> by_stage;
-    for (int stage = 0; stage <= 3; ++stage) {
-        OptimizerConfig opt;
-        opt.zeroStage = stage;
-        by_stage.push_back(
-            MemoryModel(model, train, par, opt).staticMemory(n));
-    }
-    // Stage 1 shards optimizer states only.
-    EXPECT_EQ(by_stage[0].optimizer, 2 * by_stage[1].optimizer);
-    EXPECT_EQ(by_stage[0].params, by_stage[1].params);
-    EXPECT_EQ(by_stage[0].grads, by_stage[1].grads);
-    // Stage 2 additionally shards gradients.
-    EXPECT_EQ(by_stage[1].grads, 2 * by_stage[2].grads);
-    EXPECT_EQ(by_stage[1].params, by_stage[2].params);
-    // Stage 3 additionally shards parameters.
-    EXPECT_EQ(by_stage[2].params, 2 * by_stage[3].params);
-    // Totals strictly decrease.
-    for (int stage = 1; stage <= 3; ++stage)
-        EXPECT_LT(by_stage[stage].total(), by_stage[stage - 1].total());
-}
-
-TEST_F(MemoryModelTest, RejectsInvalidZeroStage)
-{
-    OptimizerConfig opt;
-    opt.zeroStage = 4;
-    MemoryModel mm(model, train, par, opt);
-    EXPECT_DEATH(mm.staticMemory(1000), "invalid ZeRO stage");
 }
 
 TEST_F(MemoryModelTest, StageInputSeqParallelAware)

@@ -11,9 +11,7 @@
  * row must be emitted by some scenario. In a row, <s>, <c> and <i>
  * match a decimal integer, and a per-chunk gauge
  * runtime.stage.<s>.chunk.<c>.<g> matches the row
- * runtime.stage.<s>.<g>. With -DADAPIPE_OBS=OFF the macros emit
- * nothing, so only the first direction is checked, plus that
- * planning, sweeping and simulating emit nothing at all.
+ * runtime.stage.<s>.<g>.
  */
 
 #include <gtest/gtest.h>
@@ -196,12 +194,8 @@ planners(obs::Registry &reg)
     RecomputeDpOptions hidden;
     hidden.overlapBubble = 1e9;
     solveRecomputeKnapsack(pm.layers[1].units, 1, hidden);
-#if ADAPIPE_OBS_ENABLED
     EXPECT_GT(reg.counter("recompute_dp.runs"), 0);
     EXPECT_GT(reg.counter("partition_dp.states_visited"), 0);
-#else
-    EXPECT_TRUE(reg.empty()) << "planning emitted with ADAPIPE_OBS=OFF";
-#endif
 }
 
 void
@@ -212,27 +206,20 @@ sweep(obs::Registry &reg)
     ParallelConfig par;
     const ModelConfig model = searchModel(train, cluster, par);
     sweepStrategies(model, train, cluster, PlanMethod::AdaPipe);
-#if ADAPIPE_OBS_ENABLED
     EXPECT_GT(reg.counter("strategy_search.strategies_planned"), 0);
     EXPECT_GT(reg.counter("strategy_search.plans_infeasible"), 0);
-#else
-    EXPECT_TRUE(reg.empty()) << "sweeping emitted with ADAPIPE_OBS=OFF";
-#endif
 }
 
 void
 simulator(obs::Registry &reg)
 {
-    SimOptions opts;
-    opts.faults.failure.device = 1;
-    opts.faults.failure.at = 2.5;
-    const SimResult r = simulate(build1F1B(2, 4), {{1, 2}, {1, 2}}, opts);
+    FaultSpec faults;
+    faults.failure.device = 1;
+    faults.failure.at = 2.5;
+    const SimResult r =
+        simulate(build1F1B(2, 4), {{1, 2}, {1, 2}}, faults);
     EXPECT_FALSE(r.completed);
-#if ADAPIPE_OBS_ENABLED
     EXPECT_GT(reg.counter("sim.events"), 0);
-#else
-    EXPECT_TRUE(reg.empty()) << "simulating emitted with ADAPIPE_OBS=OFF";
-#endif
 }
 
 void
@@ -337,7 +324,6 @@ recovery(obs::Registry &reg)
     opts.snapshot.path = snap;
     const ProfiledModel pm = profileTinyLm(cfg, p, opts.microBatches);
     RecoveryOptions rec;
-    rec.replanOnFault = true;
     rec.pm = &pm;
     TinyLM model(cfg);
     const RecoveryResult r = runPipelineWithRecovery(
@@ -451,14 +437,12 @@ TEST(MetricCatalogue, MatchesEmittedNames)
             << ") matches " << matches
             << " catalogue rows; docs/observability.md needs exactly one";
     }
-#if ADAPIPE_OBS_ENABLED
     for (std::size_t k = 0; k < rows.size(); ++k) {
         EXPECT_TRUE(emitted[k])
             << rows[k].kind << " row " << rows[k].name
             << " is emitted by no scenario: remove the row, or add the "
                "scenario that emits it";
     }
-#endif
 }
 
 } // namespace

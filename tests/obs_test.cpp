@@ -122,7 +122,6 @@ TEST(ObsRegistry, SpanWithoutRegistryIsANoOp)
     obs::ScopedSpan span("orphan"); // must not crash or leak
 }
 
-#if ADAPIPE_OBS_ENABLED
 TEST(ObsMacros, RouteToCurrentRegistry)
 {
     obs::Registry r;
@@ -146,7 +145,6 @@ TEST(ObsMacros, NoOpWithoutRegistry)
     ADAPIPE_OBS_GAUGE("macro.gauge", 1.5);
     ADAPIPE_OBS_SPAN(span, "macro.span");
 }
-#endif
 
 TEST(ObsSinks, JsonLinesRoundTripThroughUtilJson)
 {

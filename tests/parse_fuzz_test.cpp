@@ -67,7 +67,6 @@ const char *const kValidFault = R"({
   "seed": 7,
   "slowdowns": [{"device": 1, "factor": 1.5}],
   "stalls": {"probability": 0.1, "base": 0.01, "max_retries": 2},
-  "p2p_jitter": 0.2,
   "failure": {"device": -1, "at": 0.0}
 })";
 

@@ -90,7 +90,7 @@ TEST(ProfileIo, ApplyRejectsStructureMismatch)
 TEST(ProfileIo, ApplyMemoryChangesBaselineAccounting)
 {
     ProfiledModel pm = smallProfiled();
-    MemoryModel mm(pm.model, pm.train, pm.par, pm.optimizer);
+    MemoryModel mm(pm.model, pm.train, pm.par);
     const Bytes before = mm.noRecomputeSavedPerMb(
         pm.rawLayers, 0, pm.numLayers() - 1);
 

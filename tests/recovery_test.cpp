@@ -31,7 +31,9 @@
 #include "runtime/plan_mapping.h"
 #include "runtime/recovery.h"
 #include "runtime/snapshot.h"
+#include "util/canonical_json.h"
 #include "util/file_io.h"
+#include "util/json.h"
 
 #include "runtime_fixtures.h"
 
@@ -255,6 +257,25 @@ TEST(Snapshot, BytesRoundTripBitExact)
     std::remove(path.c_str());
 }
 
+/** The header's blob_checksum is util's FNV-1a-64 of the blob. */
+TEST(Snapshot, BlobChecksumIsTheDocumentedFnv1a64)
+{
+    const TinyLM model(smallConfig());
+    const std::string bytes = snapshotToBytes(
+        captureTrainingSnapshot(model, {}, /*step=*/0, /*data_seed=*/7));
+    // ADAPIPESNAP1\n<header_len>\n<header><blob>
+    const std::size_t len_begin = bytes.find('\n') + 1;
+    const std::size_t len_end = bytes.find('\n', len_begin);
+    const std::size_t header_len = static_cast<std::size_t>(
+        std::stoul(bytes.substr(len_begin, len_end - len_begin)));
+    const JsonValue header =
+        JsonValue::parse(bytes.substr(len_end + 1, header_len));
+    const std::string blob = bytes.substr(len_end + 1 + header_len);
+    ASSERT_FALSE(blob.empty());
+    EXPECT_EQ(header.at("blob_checksum").asString(),
+              hex16(fnv1a64(blob)));
+}
+
 /**
  * Snapshots hold Adam state only: a header naming any other optimizer
  * fails to parse, with the field's path in the diagnostic.
@@ -400,7 +421,6 @@ TEST(Recovery, CrashReplanResumeBitExact)
     ASSERT_TRUE(original.ok);
 
     RecoveryOptions rec;
-    rec.replanOnFault = true;
     rec.pm = &pm;
     rec.originalPlan = &original.plan;
     rec.degradedPlanOut = tmpPath("recover_plan.json");
@@ -463,7 +483,6 @@ TEST(Recovery, CorruptSnapshotIsAHardStop)
 
     const ProfiledModel pm = profileTinyLm(cfg, p, 4);
     RecoveryOptions rec;
-    rec.replanOnFault = true;
     rec.pm = &pm;
 
     // Corrupt the snapshot between the write and the recovery read:

@@ -14,6 +14,7 @@
 #include "robust/fault_spec.h"
 #include "robust/replan.h"
 #include "robust/replan_io.h"
+#include "runtime/fault_injector.h"
 #include "sim/pipeline_sim.h"
 #include "sim/schedule.h"
 #include "util/rng.h"
@@ -37,7 +38,6 @@ noisySpec(std::uint64_t seed)
     spec.stalls.probability = 0.3;
     spec.stalls.base = 0.01;
     spec.stalls.maxRetries = 3;
-    spec.p2pJitter = 0.2;
     return spec;
 }
 
@@ -45,12 +45,10 @@ TEST(FaultSim, FixedSeedIsBitForBitDeterministic)
 {
     const Schedule sched = build1F1B(4, 8);
     const auto times = uniformTimes(4, 1.0, 2.0);
-    SimOptions opts;
-    opts.p2pTime = 0.05;
-    opts.faults = noisySpec(7);
+    const FaultSpec faults = noisySpec(7);
 
-    const SimResult a = simulate(sched, times, opts);
-    const SimResult b = simulate(sched, times, opts);
+    const SimResult a = simulate(sched, times, faults);
+    const SimResult b = simulate(sched, times, faults);
     ASSERT_EQ(a.records.size(), b.records.size());
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         EXPECT_EQ(a.records[i].start, b.records[i].start) << i;
@@ -64,14 +62,12 @@ TEST(FaultSim, DifferentSeedsChangeTheRealisation)
 {
     const Schedule sched = build1F1B(4, 8);
     const auto times = uniformTimes(4, 1.0, 2.0);
-    SimOptions a_opts;
-    a_opts.p2pTime = 0.05;
-    a_opts.faults = noisySpec(7);
-    SimOptions b_opts = a_opts;
-    b_opts.faults.seed = 8;
+    const FaultSpec a_faults = noisySpec(7);
+    FaultSpec b_faults = a_faults;
+    b_faults.seed = 8;
 
-    const SimResult a = simulate(sched, times, a_opts);
-    const SimResult b = simulate(sched, times, b_opts);
+    const SimResult a = simulate(sched, times, a_faults);
+    const SimResult b = simulate(sched, times, b_faults);
     EXPECT_NE(a.iterationTime, b.iterationTime);
 }
 
@@ -79,10 +75,10 @@ TEST(FaultSim, SlowdownScalesEveryOpOnTheDevice)
 {
     const Schedule sched = build1F1B(2, 4);
     const auto times = uniformTimes(2, 1.0, 2.0);
-    SimOptions opts;
-    opts.faults.slowdowns.push_back({0, 2.0});
+    FaultSpec faults;
+    faults.slowdowns.push_back({0, 2.0});
 
-    const SimResult r = simulate(sched, times, opts);
+    const SimResult r = simulate(sched, times, faults);
     ASSERT_TRUE(r.completed);
     for (std::size_t i = 0; i < sched.ops.size(); ++i) {
         const PipeOp &op = sched.ops[i];
@@ -99,39 +95,26 @@ TEST(FaultSim, StallsAddReportedDelay)
 {
     const Schedule sched = build1F1B(4, 8);
     const auto times = uniformTimes(4, 1.0, 2.0);
-    SimOptions clean;
-    SimOptions stalling;
-    stalling.faults.seed = 3;
-    stalling.faults.stalls.probability = 0.5;
-    stalling.faults.stalls.base = 0.25;
+    FaultSpec stalling;
+    stalling.seed = 3;
+    stalling.stalls.probability = 0.5;
+    stalling.stalls.base = 0.25;
 
-    const SimResult a = simulate(sched, times, clean);
+    const SimResult a = simulate(sched, times);
     const SimResult b = simulate(sched, times, stalling);
     EXPECT_EQ(a.stallTime, 0.0);
     EXPECT_GT(b.stallTime, 0.0);
     EXPECT_GT(b.iterationTime, a.iterationTime);
 }
 
-TEST(FaultSim, JitterFactorStaysInRange)
-{
-    FaultSpec spec;
-    spec.seed = 11;
-    spec.p2pJitter = 0.2;
-    for (std::uint64_t id = 0; id < 1000; ++id) {
-        const double f = spec.jitterFactor(id);
-        EXPECT_GE(f, 1.0);
-        EXPECT_LE(f, 1.2);
-    }
-}
-
 TEST(FaultSim, DeviceFailureEndsTheIterationGracefully)
 {
     const Schedule sched = build1F1B(4, 8);
     const auto times = uniformTimes(4, 1.0, 2.0);
-    SimOptions opts;
-    opts.faults.failure = {1, 5.0};
+    FaultSpec faults;
+    faults.failure = {1, 5.0};
 
-    const SimResult r = simulate(sched, times, opts);
+    const SimResult r = simulate(sched, times, faults);
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.failedDevice, 1);
     // No op on the failed device starts at/after the failure time,
@@ -153,10 +136,10 @@ TEST(FaultSim, FailureAtTimeZeroStopsEverything)
 {
     const Schedule sched = build1F1B(2, 4);
     const auto times = uniformTimes(2, 1.0, 2.0);
-    SimOptions opts;
-    opts.faults.failure = {0, 0.0};
+    FaultSpec faults;
+    faults.failure = {0, 0.0};
 
-    const SimResult r = simulate(sched, times, opts);
+    const SimResult r = simulate(sched, times, faults);
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.iterationTime, 0.0);
 }
@@ -165,10 +148,10 @@ TEST(FaultSim, FailureAfterTheIterationIsInvisible)
 {
     const Schedule sched = build1F1B(2, 4);
     const auto times = uniformTimes(2, 1.0, 2.0);
-    SimOptions opts;
-    opts.faults.failure = {0, 1e9};
+    FaultSpec faults;
+    faults.failure = {0, 1e9};
 
-    const SimResult r = simulate(sched, times, opts);
+    const SimResult r = simulate(sched, times, faults);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.failedDevice, -1);
 }
@@ -179,12 +162,61 @@ TEST(FaultSim, GreedyScheduleSurvivesDeviceFailure)
     // it gracefully instead of tripping the deadlock assert.
     const Schedule sched = buildChimera(4, 4);
     const auto times = uniformTimes(4, 1.0, 2.0);
-    SimOptions opts;
-    opts.faults.failure = {2, 2.0};
+    FaultSpec faults;
+    faults.failure = {2, 2.0};
 
-    const SimResult r = simulate(sched, times, opts);
+    const SimResult r = simulate(sched, times, faults);
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.failedDevice, 2);
+}
+
+// Every seeded fault scenario, in the simulator and in the runtime's
+// injector, depends on these draws bit for bit. The expected values
+// are recorded, so a change to a hash, a seed or a stream fails here.
+TEST(FaultDraws, StallDelaysArePinned)
+{
+    TransientStalls stalls;
+    stalls.probability = 0.6;
+    stalls.base = 0.25;
+    stalls.maxRetries = 3;
+    const std::vector<Seconds> want = {0.25, 0, 0,    0, 0,    1.75,
+                                       0,    0, 0,    0, 0.75, 0.75,
+                                       1.75, 0, 0.25, 0.25};
+    std::vector<Seconds> got;
+    for (int mb = 0; mb < 16; ++mb) {
+        got.push_back(stallDelay(
+            stalls, 7, faultOpId(mb % 2, mb % 3, mb, mb % 4 < 2)));
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST(FaultDraws, InjectorStallAndSendDelaysArePinned)
+{
+    RuntimeFaultSpec spec;
+    spec.seed = 11;
+    spec.stalls.probability = 0.6;
+    // Microsecond-scale delays: the hooks really sleep them.
+    spec.stalls.base = 1e-6;
+    spec.stalls.maxRetries = 3;
+    spec.sendDelayUs = 2.0;
+    spec.sendDelayJitter = 0.5;
+    FaultInjector injector(spec, 1);
+    for (int mb = 0; mb < 8; ++mb) {
+        injector.beforeOp(0, mb % 3, 2, mb, mb % 2 == 0, 0);
+        injector.beforeSend(0, mb % 3, 2, mb, mb % 2 == 0);
+    }
+    std::vector<double> stall_us, send_us;
+    for (const FaultEvent &e : injector.events()) {
+        (e.kind == FaultEventKind::Stall ? stall_us : send_us)
+            .push_back(e.us);
+    }
+    const std::vector<double> want_stall = {3, 7, 1};
+    const std::vector<double> want_send = {
+        2.8884246672394038, 2.1187661111012139, 2.6578515743063935,
+        2.2217501709249006, 2.8287901385027494, 2.9181355758351066,
+        2.9438157838518735, 2.7722250151222347};
+    EXPECT_EQ(stall_us, want_stall);
+    EXPECT_EQ(send_us, want_send);
 }
 
 TEST(FaultSpecJson, RoundTrips)
@@ -201,7 +233,6 @@ TEST(FaultSpecJson, RoundTrips)
     EXPECT_EQ(b.stalls.probability, spec.stalls.probability);
     EXPECT_EQ(b.stalls.base, spec.stalls.base);
     EXPECT_EQ(b.stalls.maxRetries, spec.stalls.maxRetries);
-    EXPECT_EQ(b.p2pJitter, spec.p2pJitter);
     EXPECT_EQ(b.failure.device, spec.failure.device);
 }
 

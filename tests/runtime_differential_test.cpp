@@ -512,7 +512,6 @@ runCase(const Case &c, const std::string &snapshot_path,
         std::remove(snapshot_path.c_str());
         const ProfiledModel pm = profileTinyLm(cfg, c.p, c.n);
         RecoveryOptions rec;
-        rec.replanOnFault = true;
         rec.pm = &pm;
         const RecoveryResult res =
             runPipelineWithRecovery(model, specs, opts, rec);

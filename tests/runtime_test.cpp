@@ -235,7 +235,6 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
     EXPECT_GT(none.peakSum, attn.peakSum);
     EXPECT_GT(attn.peakSum, full.peakSum);
 
-#if ADAPIPE_OBS_ENABLED
     // One replay per checkpointed segment per backward: attention
     // only checkpoints one segment per block, full recompute one
     // whole-block segment replayed per micro-batch backward.
@@ -252,7 +251,6 @@ TEST(PipelineRuntime, RecomputeOverheadMonotone)
     // thread preempted inside one replay span adds milliseconds to a
     // sum, more than the FFN and norms add to a replay of this model.
     EXPECT_GT(full.fastestReplayUs, attn.fastestReplayUs);
-#endif
 }
 
 TEST(PipelineRuntime, MergedRegistryCountsEveryOp)
@@ -412,9 +410,7 @@ TEST(PipelineRuntime, InterleavedPerChunkMetricsAndGauges)
         EXPECT_GE(blocks, 1);
         // Full recompute: one whole-block replay per block per
         // backward, counted exactly per chunk.
-#if ADAPIPE_OBS_ENABLED
         EXPECT_EQ(sm.replayOps, per_chunk_ops * blocks);
-#endif
     }
 
     EXPECT_EQ(metrics.gauge("runtime.virtual_stages"), 2.0);

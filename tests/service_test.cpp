@@ -520,11 +520,9 @@ TEST(PlanServerTcp, ConcurrentClientsGetByteIdenticalResponses)
         << responses[0];
 
     server.stop();
-#if ADAPIPE_OBS_ENABLED
     // All service.* counters merged from the worker registries.
     EXPECT_GE(server.metrics().counter("service.requests"),
               kClients);
-#endif
 }
 
 /** Send @p lines over 4 client connections at once; response i

@@ -74,8 +74,7 @@ TEST(Sim, NoOverlapOnDevice)
 TEST(Sim, DependenciesRespected)
 {
     const Schedule s = build1F1B(4, 8);
-    const SimOptions opts{0.25};
-    const SimResult r = simulate(s, uniformStages(4, 1.0, 2.0), opts);
+    const SimResult r = simulate(s, uniformStages(4, 1.0, 2.0));
     auto find = [&](int pos, int mb, OpKind kind) -> const OpRecord & {
         for (std::size_t i = 0; i < s.ops.size(); ++i) {
             const PipeOp &op = s.ops[i];
@@ -89,13 +88,11 @@ TEST(Sim, DependenciesRespected)
     for (int mb = 0; mb < 8; ++mb) {
         for (int pos = 1; pos < 4; ++pos) {
             EXPECT_GE(find(pos, mb, OpKind::Forward).start,
-                      find(pos - 1, mb, OpKind::Forward).end + 0.25 -
-                          1e-12);
+                      find(pos - 1, mb, OpKind::Forward).end - 1e-12);
         }
         for (int pos = 0; pos < 3; ++pos) {
             EXPECT_GE(find(pos, mb, OpKind::Backward).start,
-                      find(pos + 1, mb, OpKind::Backward).end + 0.25 -
-                          1e-12);
+                      find(pos + 1, mb, OpKind::Backward).end - 1e-12);
         }
         EXPECT_GE(find(3, mb, OpKind::Backward).start,
                   find(3, mb, OpKind::Forward).end - 1e-12);
@@ -210,16 +207,6 @@ TEST(Sim, ChimeraDDoublesForwardDuration)
         else
             EXPECT_NEAR(dur, 2.0, 1e-12);
     }
-}
-
-TEST(Sim, P2pDelaysIteration)
-{
-    const int p = 4;
-    const int n = 8;
-    const auto stages = uniformStages(p, 1.0, 2.0);
-    const SimResult fast = simulate(build1F1B(p, n), stages, {0.0});
-    const SimResult slow = simulate(build1F1B(p, n), stages, {0.5});
-    EXPECT_GT(slow.iterationTime, fast.iterationTime);
 }
 
 TEST(Timeline, RendersEveryDevice)
